@@ -5,11 +5,9 @@ __version__ = "0.1.0"
 from .qb_model import (
     QBSystem,
     InputSignal,
-    kron,
     apply_quadratic,
     symmetrize_quadratic,
     mode2_matricization,
-    mode3_matricization,
     save_system,
     load_system,
 )

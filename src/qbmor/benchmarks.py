@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .qb_model import QBSystem, InputSignal
-from .sim import Trajectory, integrate_rk4, integrate_implicit_euler
+from .sim import Trajectory, integrate_rk4
 
 __all__ = [
     "BenchmarkSpec",
@@ -133,23 +133,18 @@ def _rc_original_rhs(ell, u):
 
 # -- viscous Burgers -------------------------------------------------------
 
-def burgers(n, nu, alpha=1.0, beta=0.0, literal_viscous_term=False):
+def burgers(n, nu):
     """Semidiscrete 1D Burgers flow on (0,1) with boundary control; size n.
 
     Central differences on n interior nodes, h = 1/(n+1); the left boundary
-    value is the input (Dirichlet: alpha=1, beta=0) and the right end is a
-    Neumann condition via a ghost node.  The output is the spatial average.
-    With literal_viscous_term the diffusion coefficient is nu*v (the
-    state-dependent reading); the default is plain nu*v_xx.
+    value is the input (Dirichlet) and the right end is a Neumann condition
+    via a ghost node.  The diffusion term is nu*v_xx.  The output is the
+    spatial average.
     """
     if n < 3:
         raise ValueError("need at least 3 grid nodes")
     if nu <= 0:
         raise ValueError("viscosity must be positive")
-    if beta != 0.0 or alpha != 1.0:
-        raise ValueError(
-            "only the Dirichlet boundary (alpha=1, beta=0) is representable "
-            "without input-squared terms")
     h = 1.0 / (n + 1)
     A = np.zeros((n, n))
     N = np.zeros((n, n))
@@ -159,25 +154,15 @@ def burgers(n, nu, alpha=1.0, beta=0.0, literal_viscous_term=False):
     c = 1.0 / (2.0 * h)
 
     for i in range(n):
-        if literal_viscous_term:
-            # nu * v_i * v_xx,i : purely quadratic diffusion
-            if i > 0:
-                T.add(i, i, i - 1, d)
-            else:
-                N[i, i] += d  # ghost value is u(t)
-            T.add(i, i, i, -2.0 * d if i < n - 1 else -1.0 * d)
-            if i < n - 1:
-                T.add(i, i, i + 1, d)
+        if i > 0:
+            A[i, i - 1] += d
         else:
-            if i > 0:
-                A[i, i - 1] += d
-            else:
-                B[i] += d
-            A[i, i] += -2.0 * d
-            if i < n - 1:
-                A[i, i + 1] += d
-            else:
-                A[i, i] += d  # Neumann ghost: v_{n+1} = v_n
+            B[i] += d
+        A[i, i] += -2.0 * d
+        if i < n - 1:
+            A[i, i + 1] += d
+        else:
+            A[i, i] += d  # Neumann ghost: v_{n+1} = v_n
         # convection -v_i (v_{i+1} - v_{i-1}) / (2h)
         if i < n - 1:
             T.add(i, i, i + 1, -c)
@@ -310,8 +295,8 @@ def benchmark_input(kind) -> InputSignal:
     }[kind]
 
 
-def simulate_original(spec, u, t_end, dt, scheme="rk4"):
-    """Integrate the unlifted nonlinear benchmark ODEs (lifting oracle)."""
+def simulate_original(spec, u, t_end, dt):
+    """Integrate the unlifted nonlinear benchmark ODEs by RK4 (lifting oracle)."""
     p = spec.params
     if spec.kind == "rc_ladder":
         ell = p["ell"]
@@ -325,10 +310,7 @@ def simulate_original(spec, u, t_end, dt, scheme="rk4"):
         f = _fhn_original_rhs(nbar, p.get("eps", 0.015), p.get("h", 0.5),
                               p.get("gamma", 0.05), p.get("g", 0.05), u)
         x0, pick = np.zeros(2 * nbar), 0
-    if scheme == "rk4":
-        times, xs = integrate_rk4(f, x0, t_end, dt)
-    else:
-        times, xs = integrate_implicit_euler(f, x0, t_end, dt)
+    times, xs = integrate_rk4(f, x0, t_end, dt)
     ys = xs.mean(axis=1) if pick is None else xs[:, pick]
     return Trajectory(times=times, outputs=ys,
-                      meta={"system": spec.kind, "scheme": scheme, "dt": dt})
+                      meta={"system": spec.kind, "scheme": "rk4", "dt": dt})

@@ -10,7 +10,6 @@ from __future__ import annotations
 import configparser
 import hashlib
 import json
-import os
 import sys as _sys
 from pathlib import Path
 
@@ -35,15 +34,8 @@ def _fmt(x):
 
 
 @click.group()
-@click.option("--threads", type=int, default=None,
-              help="cap BLAS worker threads (QBMOR_THREADS as fallback)")
-def main(threads):
+def main():
     """Model order reduction for quadratic-bilinear descriptor systems."""
-    if threads is None:
-        threads = os.environ.get("QBMOR_THREADS")
-    if threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(threads)
 
 
 # -- bench ----------------------------------------------------------------
@@ -243,18 +235,8 @@ def bound_eval(sysdir, trace_path, s1_re, s1_im, s2_re, s2_im):
     try:
         solver = transfer.PencilSolver(system)
         ev = error_bound.BoundEvaluator(system, solver)
-        V1 = W1 = V2 = W2 = np.zeros((system.n, 0))
-        for row in rows:
-            V1, _ = projection.orth_extend(V1, transfer.solve_x1(system, row.sigma1, solver))
-            W1, _ = projection.orth_extend(W1, transfer.solve_y1(system, row.sigma1, solver))
-            V2, _ = projection.orth_extend(V2, np.column_stack([
-                transfer.solve_x1(system, row.sigma2, solver),
-                transfer.solve_x2(system, row.sigma1, row.sigma2, solver),
-                transfer.solve_x1(system, row.sigma1 + row.sigma2, solver)]))
-            W2, _ = projection.orth_extend(W2, np.column_stack([
-                transfer.solve_y1(system, row.sigma1 + row.sigma2, solver),
-                transfer.solve_y2(system, row.sigma1, row.sigma2, solver),
-                transfer.solve_y2(system, row.sigma2, row.sigma1, solver)]))
+        V1, W1, V2, W2 = projection.subsystem_bases(
+            system, [(row.sigma1, row.sigma2) for row in rows], solver)
         ev.set_bases_1(V1, W1)
         ev.set_bases_2(V2, W2)
         val = ev.bound(s1, s2)

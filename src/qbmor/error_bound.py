@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg as sla
 
-from . import transfer
+from . import projection, transfer
 
 __all__ = ["beta", "BoundEvaluator", "BoundValue"]
 
@@ -50,20 +50,12 @@ class _ReducedPair:
         V, W = V[:, :r], W[:, :r]
         self.V = V
         self.W = W
-        self.r = r
-        self.E = W.T @ sys.E @ V
-        self.A = W.T @ sys.A @ V
-        self.B = W.T @ sys.B
-        self.C = sys.C @ V
+        self.E, self.A, _, self.B, self.C = projection.project_linear(sys, V, W)
 
     def solve_primal(self, s, rhs_reduced):
-        if self.r == 0:
-            return np.zeros(0)
         return np.linalg.solve(s * self.E - self.A, rhs_reduced)
 
     def solve_dual(self, s):
-        if self.r == 0:
-            return np.zeros(0)
         return np.linalg.solve((s * self.E - self.A).T, -self.C)
 
 
@@ -107,9 +99,9 @@ class BoundEvaluator:
         sys, sub = self.sys, self._sub1
         G = complex(s) * sys.E - sys.A
         z = sub.solve_primal(s, sub.B)
-        r_pr = sys.B - G @ (sub.V @ z) if sub.r else sys.B.astype(complex)
+        r_pr = sys.B - G @ (sub.V @ z)
         z_du = sub.solve_dual(s)
-        r_du = -sys.C - G.T @ (sub.W @ z_du) if sub.r else -sys.C.astype(complex)
+        r_du = -sys.C - G.T @ (sub.W @ z_du)
         return r_pr, r_du
 
     def delta1(self, s):
@@ -122,8 +114,6 @@ class BoundEvaluator:
     def h1_rom(self, s):
         """Transfer function of the reduced first subsystem (0 for empty bases)."""
         sub = self._sub1
-        if sub.r == 0:
-            return 0.0 + 0.0j
         return sub.C @ sub.solve_primal(s, sub.B)
 
     def true_error_1(self, s):
@@ -141,9 +131,9 @@ class BoundEvaluator:
         G = ssum * sys.E - sys.A
         b2 = self._rhs2(s1, s2)
         z = sub.solve_primal(ssum, sub.W.T @ b2)
-        r_pr = b2 - G @ (sub.V @ z) if sub.r else b2
+        r_pr = b2 - G @ (sub.V @ z)
         z_du = sub.solve_dual(ssum)
-        r_du = -sys.C - G.T @ (sub.W @ z_du) if sub.r else -sys.C.astype(complex)
+        r_du = -sys.C - G.T @ (sub.W @ z_du)
         return r_pr, r_du
 
     def delta2(self, s1, s2):
@@ -156,8 +146,6 @@ class BoundEvaluator:
     def h2_rom(self, s1, s2):
         """Second transfer function of the reduced second subsystem."""
         sub = self._sub2
-        if sub.r == 0:
-            return 0.0 + 0.0j
         ssum = complex(s1) + complex(s2)
         z = sub.solve_primal(ssum, sub.W.T @ self._rhs2(s1, s2))
         return sub.C @ z

@@ -31,6 +31,8 @@ __all__ = [
     "read_trace",
 ]
 
+STAGNATION_WINDOW = 3  # iterations without a decrease of delta before giving up
+
 
 def default_grid(lo=1e0, hi=1e4, num=50, imag=False):
     """Logarithmically spaced sample frequencies; optionally on the imaginary axis.
@@ -57,8 +59,6 @@ class GreedyConfig:
     eps_tol: float
     max_iters: int = 30
     validate_true_error: bool = False
-    deflation_tol: float = projection.DEFLATION_TOL
-    stagnation_window: int = 3
 
     def __post_init__(self):
         self.S1 = np.asarray(self.S1, dtype=complex)
@@ -119,9 +119,7 @@ def run_greedy(sys, cfg):
     """
     solver = transfer.PencilSolver(sys)
     ev = BoundEvaluator(sys, solver)
-    tol = cfg.deflation_tol
-    n = sys.n
-    V1 = W1 = V2 = W2 = np.zeros((n, 0))
+    bases = (np.zeros((sys.n, 0)),) * 4
     used1, used2 = set(), set()
     s1, s2 = complex(cfg.sigma10), complex(cfg.sigma20)
     trace, pairs, validation = [], [], []
@@ -135,9 +133,8 @@ def run_greedy(sys, cfg):
         used1.add(s1)
         used2.add(s2)
 
-        # enrich subsystem-1 bases at the current sigma1
-        V1, _ = projection.orth_extend(V1, transfer.solve_x1(sys, s1, solver), tol)
-        W1, _ = projection.orth_extend(W1, transfer.solve_y1(sys, s1, solver), tol)
+        bases = projection.enrich(sys, bases, s1, s2, solver)
+        V1, W1, V2, W2 = bases
         ev.set_bases_1(V1, W1)
 
         rec1 = [] if cfg.validate_true_error else None
@@ -145,19 +142,6 @@ def run_greedy(sys, cfg):
             ev.delta1, ev.true_error_1 if cfg.validate_true_error else None,
             cfg.S1, used1, rec1)
 
-        # enrich subsystem-2 bases at the current pair
-        v_new = np.column_stack([
-            transfer.solve_x1(sys, s2, solver),
-            transfer.solve_x2(sys, s1, s2, solver),
-            transfer.solve_x1(sys, s1 + s2, solver),
-        ])
-        w_new = np.column_stack([
-            transfer.solve_y1(sys, s1 + s2, solver),
-            transfer.solve_y2(sys, s1, s2, solver),
-            transfer.solve_y2(sys, s2, s1, solver),
-        ])
-        V2, _ = projection.orth_extend(V2, v_new, tol)
-        W2, _ = projection.orth_extend(W2, w_new, tol)
         ev.set_bases_2(V2, W2)
 
         rec2 = [] if cfg.validate_true_error else None
@@ -169,8 +153,7 @@ def run_greedy(sys, cfg):
             validation.extend((it, "delta1", s, b, t) for s, b, t in rec1)
             validation.extend((it, "delta2", (s1_next, s), b, t) for s, b, t in rec2)
 
-        V, _ = projection.orth_extend(V1.copy(), V2, tol)
-        W, _ = projection.orth_extend(W1.copy(), W2, tol)
+        V, W = projection.combine(bases)
 
         eps = delta1_max + delta2_max
         true_max = (true1_max + true2_max) if cfg.validate_true_error else None
@@ -187,7 +170,7 @@ def run_greedy(sys, cfg):
             break
         if eps >= prev_delta:
             stall += 1
-            if stall >= cfg.stagnation_window:
+            if stall >= STAGNATION_WINDOW:
                 stagnated = True
                 warnings.warn(
                     f"greedy stagnated after {it} iterations (delta {eps:.3e})")
@@ -197,7 +180,7 @@ def run_greedy(sys, cfg):
         prev_delta = eps
         s1, s2 = s1_next, s2_next
 
-    V, W = projection.equalize_bases(sys, V, W, pairs, tol=tol, solver=solver)
+    V, W = projection.equalize_bases(sys, V, W, pairs, solver=solver)
     return GreedyResult(V=V, W=W, trace=trace, pairs=pairs,
                         converged=converged, stagnated=stagnated,
                         validation=validation)
@@ -231,7 +214,7 @@ def _scan(bound_fn, true_fn, grid, used, records=None):
     return complex(candidates[i]), best, true_max
 
 
-def reduce_final(sys, V, W, fallback_one_sided=True):
+def reduce_final(sys, V, W):
     """Build the reduced system from converged greedy bases.
 
     Falls back to one-sided projection (W := V) if W^T E V turns out
@@ -240,8 +223,6 @@ def reduce_final(sys, V, W, fallback_one_sided=True):
     try:
         return projection.reduce(sys, V, W)
     except projection.SingularReductionError:
-        if not fallback_one_sided:
-            raise
         warnings.warn("W^T E V singular; falling back to one-sided projection")
         return projection.reduce(sys, V, V)
 

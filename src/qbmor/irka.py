@@ -101,7 +101,7 @@ def irka_linear(sys, cfg):
     return points
 
 
-def irka_rom(sys, points, two_sided=True, tol=projection.DEFLATION_TOL):
+def irka_rom(sys, points, two_sided=True):
     """Equal-point interpolation ROM of the QB system at the given points.
 
     V spans {x1(s), x2(s,s)} and W spans {y1(2s), y2(s,s)} over the points;
@@ -118,8 +118,8 @@ def irka_rom(sys, points, two_sided=True, tol=projection.DEFLATION_TOL):
             transfer.solve_y1(sys, 2 * s, solver),
             transfer.solve_y2(sys, s, s, solver),
         ])
-        V, _ = projection.orth_extend(V, vs, tol)
-        W, _ = projection.orth_extend(W, ws, tol)
+        V, _ = projection.orth_extend(V, vs)
+        W, _ = projection.orth_extend(W, ws)
     if not two_sided:
         return projection.reduce(sys, V, V)
     r = min(V.shape[1], W.shape[1])

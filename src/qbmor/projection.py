@@ -20,7 +20,11 @@ __all__ = [
     "DEFLATION_TOL",
     "SingularReductionError",
     "orth_extend",
+    "enrich",
+    "subsystem_bases",
+    "combine",
     "build_interpolation_bases",
+    "project_linear",
     "reduce",
     "ReducedQBSystem",
     "verify_hermite",
@@ -31,10 +35,6 @@ DEFLATION_TOL = 1e-8
 
 class SingularReductionError(np.linalg.LinAlgError):
     """W^T E V is numerically singular, so no reduced system exists."""
-
-
-def empty_basis(n):
-    return np.zeros((n, 0))
 
 
 def _realify(vectors):
@@ -59,8 +59,6 @@ def orth_extend(basis, new_vectors, tol=DEFLATION_TOL):
     Returns (basis, number_of_columns_added).
     """
     candidates = _realify(new_vectors)
-    if basis is None:
-        basis = np.zeros((candidates.shape[0], 0))
     added = 0
     for w in candidates.T:
         nrm0 = np.linalg.norm(w)
@@ -78,34 +76,59 @@ def orth_extend(basis, new_vectors, tol=DEFLATION_TOL):
     return basis, added
 
 
-def build_interpolation_bases(sys, pairs, tol=DEFLATION_TOL, solver=None):
+def enrich(sys, bases, s1, s2, solver):
+    """Add the interpolation vectors of one frequency pair to the subsystem bases.
+
+    bases is (V1, W1, V2, W2).  V1 gains x1(s1) and W1 gains y1(s1); V2
+    gains x1(s2), x2(s1,s2), x1(s1+s2) and W2 gains y1(s1+s2), y2(s1,s2),
+    y2(s2,s1).  Returns the extended (V1, W1, V2, W2).
+    """
+    V1, W1, V2, W2 = bases
+    V1, _ = orth_extend(V1, transfer.solve_x1(sys, s1, solver))
+    W1, _ = orth_extend(W1, transfer.solve_y1(sys, s1, solver))
+    V2, _ = orth_extend(V2, np.column_stack([
+        transfer.solve_x1(sys, s2, solver),
+        transfer.solve_x2(sys, s1, s2, solver),
+        transfer.solve_x1(sys, s1 + s2, solver),
+    ]))
+    W2, _ = orth_extend(W2, np.column_stack([
+        transfer.solve_y1(sys, s1 + s2, solver),
+        transfer.solve_y2(sys, s1, s2, solver),
+        transfer.solve_y2(sys, s2, s1, solver),
+    ]))
+    return V1, W1, V2, W2
+
+
+def subsystem_bases(sys, pairs, solver):
+    """Subsystem bases (V1, W1, V2, W2) enriched at each pair in turn."""
+    bases = (np.zeros((sys.n, 0)),) * 4
+    for s1, s2 in pairs:
+        bases = enrich(sys, bases, s1, s2, solver)
+    return bases
+
+
+def combine(bases):
+    """Combined bases V = orth[V1, V2] and W = orth[W1, W2]."""
+    V1, W1, V2, W2 = bases
+    V, _ = orth_extend(V1, V2)
+    W, _ = orth_extend(W1, W2)
+    return V, W
+
+
+def build_interpolation_bases(sys, pairs, solver=None):
     """Interpolation bases for a list of frequency-point pairs.
 
-    For each pair (s1, s2), V gains x1(s1), x1(s2), x2(s1,s2) and W gains
-    y1(s1+s2), y2(s1,s2), y2(s2,s1); with s1 == s2 this degenerates to the
-    equal-point spans {x1(s), x2(s,s)} / {y1(2s), y2(s,s)}.
+    The combined subsystem bases of :func:`subsystem_bases`, balanced by
+    :func:`equalize_bases`; for the pairs a greedy run selected these are
+    exactly the bases it returns.
     """
     if solver is None:
         solver = transfer.PencilSolver(sys)
-    V = empty_basis(sys.n)
-    W = empty_basis(sys.n)
-    for s1, s2 in pairs:
-        vs = [
-            transfer.solve_x1(sys, s1, solver),
-            transfer.solve_x1(sys, s2, solver),
-            transfer.solve_x2(sys, s1, s2, solver),
-        ]
-        ws = [
-            transfer.solve_y1(sys, s1 + s2, solver),
-            transfer.solve_y2(sys, s1, s2, solver),
-            transfer.solve_y2(sys, s2, s1, solver),
-        ]
-        V, _ = orth_extend(V, np.column_stack(vs), tol)
-        W, _ = orth_extend(W, np.column_stack(ws), tol)
-    return equalize_bases(sys, V, W, pairs, tol=tol, solver=solver)
+    V, W = combine(subsystem_bases(sys, pairs, solver))
+    return equalize_bases(sys, V, W, pairs, solver=solver)
 
 
-def equalize_bases(sys, V, W, pairs, tol=DEFLATION_TOL, solver=None, seed=0):
+def equalize_bases(sys, V, W, pairs, solver=None):
     """Grow the smaller of V, W until both have the same column count.
 
     Realified interpolation spans rarely balance, but the Hermite
@@ -120,18 +143,18 @@ def equalize_bases(sys, V, W, pairs, tol=DEFLATION_TOL, solver=None, seed=0):
         solver = transfer.PencilSolver(sys)
     v_pads = iter([s1 + s2 for s1, s2 in pairs])
     w_pads = iter([s for pair in pairs for s in pair])
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     while V.shape[1] != W.shape[1]:
         if V.shape[1] < W.shape[1]:
             s = next(v_pads, None)
             cand = (transfer.solve_x1(sys, s, solver) if s is not None
                     else rng.standard_normal(sys.n))
-            V, _ = orth_extend(V, cand, tol)
+            V, _ = orth_extend(V, cand)
         else:
             s = next(w_pads, None)
             cand = (transfer.solve_y1(sys, s, solver) if s is not None
                     else rng.standard_normal(sys.n))
-            W, _ = orth_extend(W, cand, tol)
+            W, _ = orth_extend(W, cand)
     return V, W
 
 
@@ -162,28 +185,28 @@ class ReducedQBSystem:
         )
 
 
-def reduce(sys, V, W=None):
+def project_linear(sys, V, W):
+    """Linear reduced operators (W^T E V, W^T A V, W^T N V, W^T B, C V)."""
+    return (W.T @ sys.E @ V, W.T @ sys.A @ V, W.T @ sys.N @ V,
+            W.T @ sys.B, sys.C @ V)
+
+
+def reduce(sys, V, W):
     """Project a system onto span(V) along span(W) (Petrov-Galerkin).
 
     Qr is assembled column-pair-wise through the sparse Q and symmetrized
     afterwards so ROM simulation uses the same conventions as the full model.
     """
-    if W is None:
-        W = V
     n, r = V.shape
     if W.shape != (n, r):
         raise ValueError("V and W must have identical shapes")
-    Er = W.T @ sys.E @ V
+    Er, Ar, Nr, Br, Cr = project_linear(sys, V, W)
     if r:
         cond = np.linalg.cond(Er)
         if not np.isfinite(cond) or cond > 1e14:
             raise SingularReductionError(
                 f"W^T E V numerically singular (cond estimate {cond:.3e})"
             )
-    Ar = W.T @ sys.A @ V
-    Nr = W.T @ sys.N @ V
-    Br = W.T @ sys.B
-    Cr = sys.C @ V
     Qr = np.empty((r, r * r))
     for a in range(r):
         block = sys.Q @ np.kron(V[:, a][:, None], V)

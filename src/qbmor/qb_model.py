@@ -24,24 +24,15 @@ from scipy.io import mmread, mmwrite
 __all__ = [
     "QBSystem",
     "InputSignal",
-    "kron",
     "apply_quadratic",
     "symmetrize_quadratic",
     "mode2_matricization",
-    "mode3_matricization",
     "save_system",
     "load_system",
 ]
 
 #: frequencies probed to confirm the pencil sE - A is regular
 _REGULARITY_PROBES = (1.0, 10.0, 100.0, 1.0 + 1.0j)
-
-
-def kron(u, v):
-    """Kronecker product of two vectors: result[i*len(v) + j] = u[i]*v[j]."""
-    u = np.asarray(u)
-    v = np.asarray(v)
-    return np.multiply.outer(u, v).ravel()
 
 
 def apply_quadratic(Q, u, v):
@@ -95,14 +86,6 @@ def mode2_matricization(Q):
     n = Q.shape[0]
     j, k = Q.col // n, Q.col % n
     return sp.csr_matrix((Q.data, (k, j * n + Q.row)), shape=Q.shape)
-
-
-def mode3_matricization(Q):
-    """Mode-3 matricization [vec(T_1) ... vec(T_n)]^T; entry (i, j*n+k) -> (j, k*n+i)."""
-    Q = sp.coo_matrix(Q)
-    n = Q.shape[0]
-    j, k = Q.col // n, Q.col % n
-    return sp.csr_matrix((Q.data, (j, k * n + Q.row)), shape=Q.shape)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,6 @@ __all__ = [
     "SimulationError",
     "simulate_qb",
     "integrate_rk4",
-    "integrate_implicit_euler",
     "compare_outputs",
 ]
 
@@ -85,16 +84,10 @@ def simulate_qb(sys, u, t_end, dt, scheme="implicit_euler",
             return sla.lu_solve(elu, _qb_rhs(sys, x, float(u(t))))
 
     for k in range(nsteps):
-        t_next = times[k + 1]
         if scheme == "rk4":
-            t = times[k]
-            k1 = f(t, x)
-            k2 = f(t + dt / 2, x + dt / 2 * k1)
-            k3 = f(t + dt / 2, x + dt / 2 * k2)
-            k4 = f(t + dt, x + dt * k3)
-            x = x + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+            x = _rk4_step(f, times[k], x, dt)
         else:
-            x = _implicit_euler_step(sys, x, float(u(t_next)), dt, k)
+            x = _implicit_euler_step(sys, x, float(u(times[k + 1])), dt, k)
         ys[k + 1] = sys.C @ x
         if abs(ys[k + 1]) > divergence_limit or not np.isfinite(ys[k + 1]):
             diverged = True
@@ -104,6 +97,15 @@ def simulate_qb(sys, u, t_end, dt, scheme="implicit_euler",
     return Trajectory(times=times, outputs=ys, meta={
         "system": sys.name, "scheme": scheme, "dt": dt, "diverged": diverged,
     })
+
+
+def _rk4_step(f, t, x, dt):
+    """One classic RK4 step of x' = f(t, x) from time t."""
+    k1 = f(t, x)
+    k2 = f(t + dt / 2, x + dt / 2 * k1)
+    k3 = f(t + dt / 2, x + dt / 2 * k2)
+    k4 = f(t + dt, x + dt * k3)
+    return x + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
 def _implicit_euler_step(sys, x, u_next, dt, step_index):
@@ -128,47 +130,7 @@ def integrate_rk4(f, x0, t_end, dt):
     x = np.array(x0, dtype=float)
     xs[0] = x
     for k in range(nsteps):
-        t = times[k]
-        k1 = f(t, x)
-        k2 = f(t + dt / 2, x + dt / 2 * k1)
-        k3 = f(t + dt / 2, x + dt / 2 * k2)
-        k4 = f(t + dt, x + dt * k3)
-        x = x + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        xs[k + 1] = x
-    return times, xs
-
-
-def integrate_implicit_euler(f, x0, t_end, dt, jac=None, fd_eps=1e-7):
-    """Implicit Euler for x' = f(t, x) with Newton; numeric Jacobian fallback."""
-    nsteps = int(round(t_end / dt))
-    times = np.arange(nsteps + 1) * dt
-    n = len(x0)
-    xs = np.empty((nsteps + 1, n))
-    x = np.array(x0, dtype=float)
-    xs[0] = x
-    eye = np.eye(n)
-    for k in range(nsteps):
-        t1 = times[k + 1]
-        x_new = x.copy()
-        for _ in range(NEWTON_MAX_STEPS):
-            F = (x_new - x) / dt - f(t1, x_new)
-            if np.linalg.norm(F) <= NEWTON_TOL * max(1.0, np.linalg.norm(x) / dt):
-                break
-            if jac is not None:
-                Jf = jac(t1, x_new)
-            else:
-                Jf = np.empty((n, n))
-                base = f(t1, x_new)
-                for j in range(n):
-                    xp = x_new.copy()
-                    h = fd_eps * max(1.0, abs(xp[j]))
-                    xp[j] += h
-                    Jf[:, j] = (f(t1, xp) - base) / h
-            x_new = x_new - np.linalg.solve(eye / dt - Jf, F)
-        else:
-            raise SimulationError(
-                f"Newton failed to converge at step {k}; try a smaller dt")
-        x = x_new
+        x = _rk4_step(f, times[k], x, dt)
         xs[k + 1] = x
     return times, xs
 

@@ -107,13 +107,6 @@ class TestBurgers:
             burgers(2, 0.1)
         with pytest.raises(ValueError, match="viscosity"):
             burgers(10, 0.0)
-        with pytest.raises(ValueError, match="Dirichlet"):
-            burgers(10, 0.1, alpha=1.0, beta=1.0)
-
-    def test_literal_viscous_variant_builds(self):
-        sys = burgers(8, 0.05, literal_viscous_term=True)
-        # diffusion lives in the tensor, not A (besides nothing on A rows)
-        assert np.allclose(sys.A, 0.0)
 
 
 # -- FitzHugh-Nagumo -------------------------------------------------------

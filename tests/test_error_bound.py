@@ -42,6 +42,9 @@ class TestEmptyBases:
         assert np.allclose(r_du, -sys.C)
         assert ev.h1_rom(1.0) == 0.0
         assert ev.h2_rom(1.0, 2.0) == 0.0
+        r_pr, r_du = ev.residuals_2(1.0, 2.0)
+        assert np.array_equal(r_pr, transfer.rhs_B2(sys, 1.0, 2.0))
+        assert np.array_equal(r_du, -sys.C)
         # bound reduces to ||B|| ||C|| / beta
         expect = np.linalg.norm(sys.B) * np.linalg.norm(sys.C) / beta(sys, 1.0)
         assert np.isclose(ev.delta1(1.0), expect, rtol=1e-12)

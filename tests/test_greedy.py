@@ -89,6 +89,13 @@ def test_reduce_final_interpolates_selected_pairs(rng):
     assert max(r["rel_err"] for r in report) <= 1e-7
 
 
+def test_interpolation_bases_are_the_greedy_bases(rng):
+    sys = random_qb(20, rng, with_mass=True)
+    res = run_greedy(sys, _config())
+    V, W = projection.build_interpolation_bases(sys, res.pairs)
+    assert np.array_equal(V, res.V) and np.array_equal(W, res.W)
+
+
 def test_nonconvergence_flagged(rng):
     sys = random_qb(20, rng)
     res = run_greedy(sys, _config(eps_tol=1e-14, max_iters=2))

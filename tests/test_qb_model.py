@@ -1,4 +1,4 @@
-"""Core data-type tests: kron, matricizations, symmetrization, (de)serialization."""
+"""Core data-type tests: matricizations, symmetrization, (de)serialization."""
 
 import numpy as np
 import pytest
@@ -9,24 +9,12 @@ from qbmor import (
     InputSignal,
     QBSystem,
     apply_quadratic,
-    kron,
     load_system,
     mode2_matricization,
-    mode3_matricization,
     save_system,
     symmetrize_quadratic,
 )
 from conftest import random_qb
-
-
-def test_kron_hand_values():
-    # result[i*len(v) + j] = u[i] * v[j]
-    assert np.array_equal(kron([2.0, 3.0], [5.0, 7.0]), [10.0, 14.0, 15.0, 21.0])
-
-
-def test_kron_matches_numpy(rng):
-    u, v = rng.standard_normal(4), rng.standard_normal(4)
-    assert np.allclose(kron(u, v), np.kron(u, v))
 
 
 def test_apply_quadratic_matches_dense(rng):
@@ -88,15 +76,6 @@ def test_mode2_single_entry_mapping():
     Q2 = mode2_matricization(Q).toarray()
     assert Q2[k, j * n + i] == 5.0
     assert np.count_nonzero(Q2) == 1
-
-
-def test_mode3_single_entry_mapping():
-    n = 3
-    i, j, k = 1, 2, 0
-    Q = sp.csr_matrix(([5.0], ([i], [j * n + k])), shape=(n, n * n))
-    Q3 = mode3_matricization(Q).toarray()
-    assert Q3[j, k * n + i] == 5.0
-    assert np.count_nonzero(Q3) == 1
 
 
 @given(st.integers(min_value=2, max_value=8), st.integers(min_value=0, max_value=2**32 - 1))

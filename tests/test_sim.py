@@ -9,7 +9,6 @@ from qbmor.sim import (
     SimulationError,
     Trajectory,
     compare_outputs,
-    integrate_implicit_euler,
     integrate_rk4,
     simulate_qb,
 )
@@ -122,13 +121,6 @@ class TestGenericIntegrators:
     def test_rk4_exponential(self):
         times, xs = integrate_rk4(lambda t, x: -x, np.array([1.0]), 1.0, 1e-3)
         assert np.isclose(xs[-1, 0], np.exp(-1.0), rtol=1e-10)
-
-    def test_implicit_euler_with_and_without_jacobian(self):
-        f = lambda t, x: -x + x**2 / 10
-        jac = lambda t, x: np.diag(-1 + x / 5)
-        _, xs_fd = integrate_implicit_euler(f, np.array([1.0]), 1.0, 1e-2)
-        _, xs_an = integrate_implicit_euler(f, np.array([1.0]), 1.0, 1e-2, jac=jac)
-        assert np.allclose(xs_fd, xs_an, rtol=1e-6)
 
 
 class TestCompareOutputs:
