@@ -82,6 +82,11 @@ class TraceRow:
     true_error_max: float | None
     basis_size_V: int
     basis_size_W: int
+    # work of the iteration: LU factorizations, sigma_min evaluations and
+    # Lanczos matrix-vector products (see transfer.PencilSolver.counts)
+    factorizations: int
+    sigma_min_evals: int
+    lanczos_matvecs: int
     wall_time: float
 
 
@@ -129,6 +134,7 @@ def run_greedy(sys, cfg):
     t0 = time.perf_counter()
 
     for it in range(1, cfg.max_iters + 1):
+        counts0 = dict(solver.counts)
         pairs.append((s1, s2))
         used1.add(s1)
         used2.add(s2)
@@ -163,6 +169,7 @@ def run_greedy(sys, cfg):
             true_error_max=true_max,
             basis_size_V=V.shape[1], basis_size_W=W.shape[1],
             wall_time=time.perf_counter() - t0,
+            **{k: v - counts0[k] for k, v in solver.counts.items()},
         ))
 
         if eps <= cfg.eps_tol:
@@ -227,10 +234,12 @@ def reduce_final(sys, V, W):
         return projection.reduce(sys, V, V)
 
 
+# per-iteration work counts, named as in transfer.PencilSolver.counts
+_COUNT_COLUMNS = ["factorizations", "sigma_min_evals", "lanczos_matvecs"]
 _TRACE_COLUMNS = [
     "iter", "sigma1_re", "sigma1_im", "sigma2_re", "sigma2_im",
     "delta1", "delta2", "delta", "true_error", "basis_V", "basis_W",
-]
+] + _COUNT_COLUMNS
 
 
 def write_trace(trace, path):
@@ -247,11 +256,14 @@ def write_trace(trace, path):
                 fmt(row.delta1_max), fmt(row.delta2_max), fmt(row.delta),
                 "" if row.true_error_max is None else fmt(row.true_error_max),
                 row.basis_size_V, row.basis_size_W,
-            ])
+            ] + [getattr(row, k) for k in _COUNT_COLUMNS])
 
 
 def read_trace(path):
-    """Read a trace CSV back into TraceRow records."""
+    """Read a trace CSV back into TraceRow records.
+
+    Traces written before the work-count columns existed read as zero counts.
+    """
     rows = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -267,6 +279,7 @@ def read_trace(path):
                 basis_size_V=int(rec["basis_V"]),
                 basis_size_W=int(rec["basis_W"]),
                 wall_time=0.0,
+                **{k: int(rec.get(k) or 0) for k in _COUNT_COLUMNS},
             ))
     if not rows:
         raise ValueError(f"trace file {Path(path)} is empty")

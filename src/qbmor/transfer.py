@@ -17,8 +17,12 @@ mode-2 matricization Q2.  Transposes are plain (non-conjugated) throughout.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .qb_model import QBSystem, apply_quadratic
 
@@ -35,49 +39,127 @@ __all__ = [
 ]
 
 _RESIDUAL_TOL = 1e-10
+# ARPACK settings for sigma_min: Krylov dimension and relative tolerance
+_LANCZOS_NCV = 6
+_LANCZOS_TOL = 1e-12
+
+
+@dataclass
+class _Pencil:
+    """Cached data of sE - A at one frequency."""
+
+    lu: tuple
+    sigma_min: float | None = None
+    x1: np.ndarray | None = None
 
 
 class PencilSolver:
-    """LU factorizations of sE - A, cached by the exact complex value of s.
+    """Per-frequency cache of the LU of sE - A, sigma_min(sE - A) and x1(s).
 
-    One factorization serves both x1-type solves and transposed y1-type
-    solves at the same frequency.
+    Entries are keyed by the exact complex value of s.  One factorization
+    serves x1-type solves, transposed y1-type solves and the Lanczos
+    iteration for sigma_min at the same frequency.  A frequency where the
+    LAPACK reciprocal condition estimate of sE - A is below machine
+    epsilon raises ``np.linalg.LinAlgError``.
+
+    ``counts`` tallies factorizations, sigma_min evaluations and Lanczos
+    matrix-vector products (two LU solves each) since construction.
     """
 
     def __init__(self, sys: QBSystem):
         self.sys = sys
-        self._lu = {}
+        self._cache = {}
         self._q2 = None
+        self._E, self._A = sp.csr_matrix(sys.E), sp.csr_matrix(sys.A)
+        self._Et, self._At = sp.csr_matrix(sys.E.T), sp.csr_matrix(sys.A.T)
+        self._v0 = None
+        self.counts = {"factorizations": 0, "sigma_min_evals": 0, "lanczos_matvecs": 0}
 
-    def _factor(self, s):
+    def _entry(self, s):
         key = complex(s)
-        fac = self._lu.get(key)
-        if fac is None:
+        entry = self._cache.get(key)
+        if entry is None:
             G = key * self.sys.E - self.sys.A
-            try:
-                fac = sla.lu_factor(G)
-            except sla.LinAlgError as exc:
+            lu = sla.lu_factor(G)
+            self.counts["factorizations"] += 1
+            rcond, _ = sla.lapack.zgecon(lu[0], np.linalg.norm(G, 1), norm="1")
+            if not rcond >= np.finfo(float).eps:
                 raise np.linalg.LinAlgError(
-                    f"pencil sE - A singular at s = {key}"
-                ) from exc
-            self._lu[key] = fac
-        return fac
+                    f"pencil sE - A singular at s = {key} (rcond {rcond:.1e})")
+            entry = self._cache[key] = _Pencil(lu)
+        return entry
+
+    def apply(self, s, x):
+        """(sE - A) x from the sparse copies of E and A."""
+        return complex(s) * (self._E @ x) - self._A @ x
+
+    def apply_t(self, s, x):
+        """(sE - A)^T x (plain transpose) from the sparse copies of E and A."""
+        return complex(s) * (self._Et @ x) - self._At @ x
 
     def solve(self, s, b):
         """Solve (sE - A) x = b."""
         b = np.asarray(b, dtype=complex)
-        x = sla.lu_solve(self._factor(s), b)
+        x = sla.lu_solve(self._entry(s).lu, b)
         if __debug__:
-            G = complex(s) * self.sys.E - self.sys.A
             nb = np.linalg.norm(b)
             if nb > 0:
-                assert np.linalg.norm(G @ x - b) <= _RESIDUAL_TOL * nb, \
+                assert np.linalg.norm(self.apply(s, x) - b) <= _RESIDUAL_TOL * nb, \
                     f"solve at s={s} lost accuracy"
         return x
 
     def solve_t(self, s, b):
         """Solve (sE - A)^T x = b (plain transpose)."""
-        return sla.lu_solve(self._factor(s), np.asarray(b, dtype=complex), trans=1)
+        return sla.lu_solve(self._entry(s).lu, np.asarray(b, dtype=complex), trans=1)
+
+    def x1(self, s):
+        """x1(s) = (sE - A)^{-1} B, solved once per frequency (read-only)."""
+        entry = self._entry(s)
+        if entry.x1 is None:
+            entry.x1 = self.solve(s, self.sys.B)
+            entry.x1.flags.writeable = False
+        return entry.x1
+
+    def sigma_min(self, s):
+        """Smallest singular value of sE - A.
+
+        The largest eigenvalue 1/sigma_min^2 of G^{-H} G^{-1}, G = sE - A,
+        comes from ARPACK (k = 1) with matrix-vector products through the
+        cached LU, warm-started from the previous call's singular vector.
+        Dense ``svdvals`` serves systems smaller than the Krylov dimension
+        and a Lanczos run that does not converge.
+        """
+        entry = self._entry(s)
+        if entry.sigma_min is None:
+            entry.sigma_min = self._lanczos_sigma_min(s, entry.lu)
+            self.counts["sigma_min_evals"] += 1
+        return entry.sigma_min
+
+    def cached_sigma_min(self, s):
+        """sigma_min(sE - A) if already computed, else None."""
+        entry = self._cache.get(complex(s))
+        return None if entry is None else entry.sigma_min
+
+    def _lanczos_sigma_min(self, s, lu):
+        n = self.sys.n
+        if n >= _LANCZOS_NCV:
+            def matvec(x):
+                self.counts["lanczos_matvecs"] += 1
+                y = sla.lu_solve(lu, x, check_finite=False)
+                return sla.lu_solve(lu, y, trans=2, check_finite=False)
+
+            if self._v0 is None:  # a fixed start, not ARPACK's internal random state
+                self._v0 = np.random.default_rng(0).standard_normal(n).astype(complex)
+            op = spla.LinearOperator((n, n), matvec=matvec, dtype=complex)
+            try:
+                lam, vec = spla.eigsh(op, k=1, which="LM", v0=self._v0,
+                                      ncv=_LANCZOS_NCV, tol=_LANCZOS_TOL)
+            except spla.ArpackNoConvergence:
+                pass
+            else:
+                self._v0 = vec[:, 0]
+                return float(1.0 / np.sqrt(lam[0]))
+        return float(sla.svdvals(complex(s) * self.sys.E - self.sys.A)[-1])
 
     @property
     def q2(self):
@@ -91,8 +173,8 @@ def _solver(sys, solver):
 
 
 def solve_x1(sys, s, solver=None):
-    """Primal subsystem-1 state x1(s) = (sE - A)^{-1} B."""
-    return _solver(sys, solver).solve(s, sys.B)
+    """Primal subsystem-1 state x1(s) = (sE - A)^{-1} B (cached, read-only)."""
+    return _solver(sys, solver).x1(s)
 
 
 def solve_y1(sys, s, solver=None):

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from qbmor import transfer
+from qbmor import benchmarks, transfer
 from qbmor.error_bound import BoundEvaluator, BoundValue, beta
+from qbmor.greedy import default_grid
 from conftest import random_qb
 
 
@@ -22,9 +23,47 @@ def test_beta_cache_reused(rng):
     sys = random_qb(6, rng)
     ev = BoundEvaluator(sys)
     v1 = ev.beta(2.0)
-    ev._beta_cache[2.0 + 0.0j] = -1.0  # poison the cache to prove reuse
+    ev.solver._cache[2.0 + 0.0j].sigma_min = -1.0  # poison the cache to prove reuse
     assert ev.beta(2.0) == -1.0
+    assert beta(sys, 2.0, ev.solver) == -1.0
     assert v1 > 0
+    assert ev.solver.counts["sigma_min_evals"] == 1
+    # sigma_min and the solves at a frequency share one factorization
+    transfer.solve_x1(sys, 2.0, ev.solver)
+    transfer.solve_y1(sys, 3.0, ev.solver)
+    ev.beta(3.0)
+    assert len(ev.solver._cache) == 2
+    assert ev.solver.counts["factorizations"] == 2
+
+
+_GRID_SYSTEMS = {
+    "rc_ladder": lambda: benchmarks.rc_ladder(50),
+    "burgers": lambda: benchmarks.burgers(100, 0.01),
+    "fhn": lambda: benchmarks.fitzhugh_nagumo(20),
+    "random": lambda: random_qb(20, np.random.default_rng(5), with_mass=True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GRID_SYSTEMS))
+def test_beta_matches_svdvals_on_grids(name):
+    """Lanczos beta against dense svdvals on the real, imaginary and pair-sum grids.
+
+    A Ritz value can only overestimate beta, which would let delta fall
+    below the true error; the tolerance keeps that far below the slack of
+    acceptance criterion 1.  Three visiting orders make the warm start
+    irrelevant.
+    """
+    sys = _GRID_SYSTEMS[name]()
+    g = default_grid()
+    points = np.concatenate([g, 1j * g, (g[::10, None] + g[None, :]).ravel()])
+    ref = {complex(s): sla.svdvals(complex(s) * sys.E - sys.A)[-1] for s in points}
+    shuffled = np.random.default_rng(0).permutation(points)
+    for order in (points, points[::-1], shuffled):
+        solver = transfer.PencilSolver(sys)
+        for s in order:
+            b = beta(sys, s, solver)
+            assert abs(b - ref[complex(s)]) <= 1e-10 * ref[complex(s)], (name, s)
+        assert solver.counts["lanczos_matvecs"] > 0
 
 
 def test_bound_value_sums_components():

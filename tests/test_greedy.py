@@ -1,11 +1,15 @@
 """Greedy selection loop tests: convergence, validity, determinism, trace I/O."""
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qbmor import greedy, projection
+from qbmor import benchmarks, greedy, projection
 from qbmor.greedy import GreedyConfig, default_grid, read_trace, run_greedy, write_trace
 from conftest import random_qb
 
@@ -96,6 +100,55 @@ def test_interpolation_bases_are_the_greedy_bases(rng):
     assert np.array_equal(V, res.V) and np.array_equal(W, res.W)
 
 
+def _singular_point_run():
+    """RC ladder runs with and without s = 0, where sE - A is singular, in the grids."""
+    sys_ = benchmarks.rc_ladder(5)
+    g = default_grid()
+    runs = []
+    for grid in (g, np.concatenate([[0.0], g])):
+        cfg = GreedyConfig(sigma10=119.5642, sigma20=119.5642, S1=grid, S2=grid,
+                           eps_tol=1e-5)
+        runs.append(run_greedy(sys_, cfg))
+    return runs
+
+
+def test_singular_grid_point_is_skipped():
+    with pytest.warns(UserWarning, match="skipping sample point 0j"):
+        plain, with_zero = _singular_point_run()
+    assert plain.converged and with_zero.converged
+    assert with_zero.pairs == plain.pairs
+    assert np.array_equal(with_zero.V, plain.V) and np.array_equal(with_zero.W, plain.W)
+
+
+def test_singular_grid_point_is_skipped_without_asserts():
+    """The same run under python -O, where the solve accuracy assert is gone."""
+    code = (
+        "import warnings, numpy as np, test_greedy as t\n"
+        "warnings.simplefilter('ignore')\n"
+        "plain, with_zero = t._singular_point_run()\n"
+        "ok = (with_zero.pairs == plain.pairs and np.array_equal(with_zero.V, plain.V)\n"
+        "      and np.array_equal(with_zero.W, plain.W) and with_zero.converged)\n"
+        "print('same' if ok and not __debug__ else 'different')\n"
+    )
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(here), str(here.parent / "src"), os.environ.get("PYTHONPATH", "")])
+    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=path), timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "same"
+
+
+def test_trace_counts_solver_work(rng):
+    sys_ = random_qb(15, rng)
+    res = run_greedy(sys_, _config(max_iters=3, eps_tol=1e-13))
+    first = res.trace[0]
+    # iteration 1 factors at least the start pair and every grid point it scans
+    assert first.factorizations >= len(default_grid(0.1, 100, 20))
+    assert first.sigma_min_evals >= len(default_grid(0.1, 100, 20))
+    for row in res.trace:
+        assert row.lanczos_matvecs >= row.sigma_min_evals >= 1
+
+
 def test_nonconvergence_flagged(rng):
     sys = random_qb(20, rng)
     res = run_greedy(sys, _config(eps_tol=1e-14, max_iters=2))
@@ -116,6 +169,18 @@ def test_trace_round_trip(tmp_path, rng):
         assert a.delta == b.delta  # 17 significant digits survive the trip
         assert a.true_error_max == b.true_error_max
         assert a.basis_size_V == b.basis_size_V
+        assert (a.factorizations, a.sigma_min_evals, a.lanczos_matvecs) == \
+            (b.factorizations, b.sigma_min_evals, b.lanczos_matvecs)
+
+
+def test_read_trace_without_count_columns(tmp_path):
+    path = tmp_path / "old.csv"
+    path.write_text("iter,sigma1_re,sigma1_im,sigma2_re,sigma2_im,"
+                    "delta1,delta2,delta,true_error,basis_V,basis_W\n"
+                    "1,2,0,3,0,0.5,0.25,0.75,,4,4\n")
+    (row,) = read_trace(path)
+    assert row.sigma1 == 2 and row.delta == 0.75 and row.basis_size_W == 4
+    assert (row.factorizations, row.sigma_min_evals, row.lanczos_matvecs) == (0, 0, 0)
 
 
 def test_read_trace_rejects_empty_file(tmp_path):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qbmor import transfer
+from qbmor import benchmarks, transfer
 from conftest import random_qb, scalar_qb
 
 
@@ -92,7 +92,29 @@ class TestPencilSolver:
         transfer.solve_x1(sys, 2.0, solver)
         transfer.solve_y1(sys, 2.0, solver)
         transfer.solve_x1(sys, 2.0 + 0.0j, solver)
-        assert len(solver._lu) == 1
+        assert len(solver._cache) == 1
+        assert solver.counts["factorizations"] == 1
+
+    def test_singular_pencil_raises(self):
+        # the lifted RC ladder has a rank-deficient A: sE - A is singular at
+        # s = 0, yet LU finds no exactly zero pivot there
+        sys = benchmarks.rc_ladder(5)
+        solver = transfer.PencilSolver(sys)
+        with pytest.raises(np.linalg.LinAlgError, match="singular"):
+            transfer.solve_x1(sys, 0.0, solver)
+        with pytest.raises(np.linalg.LinAlgError, match="singular"):
+            solver.sigma_min(0.0)
+        assert not solver._cache
+        transfer.solve_x1(sys, 1.0, solver)
+
+    def test_apply_matches_dense_pencil(self, rng):
+        sys = random_qb(7, rng, with_mass=True)
+        solver = transfer.PencilSolver(sys)
+        s = 0.3 + 2.0j
+        x = rng.standard_normal(7) + 1j * rng.standard_normal(7)
+        G = s * sys.E - sys.A
+        assert np.allclose(solver.apply(s, x), G @ x, rtol=1e-13, atol=1e-13)
+        assert np.allclose(solver.apply_t(s, x), G.T @ x, rtol=1e-13, atol=1e-13)
 
     def test_transposed_solve_is_consistent(self, rng):
         sys = random_qb(7, rng)
