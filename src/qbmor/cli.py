@@ -333,8 +333,8 @@ def compare(sysdir, romdirs, input_kind, t_end, dt, scheme, out):
 def table(trace_path, csv_out):
     """Format a greedy trace as the points / true error / bound table.
 
-    The last three columns count each iteration's LU factorizations,
-    sigma_min evaluations and Lanczos matrix-vector products.
+    The last two columns count each iteration's LU factorizations and
+    sigma_min evaluations.
     """
     try:
         rows = greedy.read_trace(trace_path)
@@ -345,21 +345,21 @@ def table(trace_path, csv_out):
         return f"{z.real:.4f}" + (f"{z.imag:+.4f}i" if z.imag else "")
 
     header = (f"{'S.No.':>5}  {'Interpolation points':>34}  {'Max. True Error':>16}  "
-              f"{'Max. Est. Error':>16}  {'LUs':>5}  {'sigma_min':>9}  {'Matvecs':>7}")
+              f"{'Max. Est. Error':>16}  {'LUs':>5}  {'sigma_min':>9}")
     click.echo(header)
     lines = []
     for row in rows:
         pts = f"{fmt_point(row.sigma1)}, {fmt_point(row.sigma2)}"
         true_s = f"{row.true_error_max:.4e}" if row.true_error_max is not None else "-"
         line = (f"{row.iter:>5}  {pts:>34}  {true_s:>16}  {row.delta:>16.4e}  "
-                f"{row.factorizations:>5}  {row.sigma_min_evals:>9}  {row.lanczos_matvecs:>7}")
+                f"{row.factorizations:>5}  {row.sigma_min_evals:>9}")
         click.echo(line)
         lines.append((row.iter, pts, true_s, f"{row.delta:.17g}", row.factorizations,
-                      row.sigma_min_evals, row.lanczos_matvecs))
+                      row.sigma_min_evals))
     if csv_out:
         with open(csv_out, "w") as fh:
             fh.write("iter,points,max_true_error,max_est_error,"
-                     "factorizations,sigma_min_evals,lanczos_matvecs\n")
+                     "factorizations,sigma_min_evals\n")
             for rec in lines:
                 fh.write(",".join(f'"{v}"' if isinstance(v, str) and "," in v else str(v)
                                   for v in rec) + "\n")

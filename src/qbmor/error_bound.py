@@ -12,15 +12,17 @@ test V, so the dual reduced matrix is the transposed primal one.  Both
 bounds then dominate the true transfer-function errors |H1 - H1_rom| and
 |H2 - H2_rom| of the subsystem ROMs.
 
-sigma_min(sE - A) = beta(s) comes from the LU of sE - A that
-``transfer.PencilSolver`` caches for the resolvent solves: ARPACK finds
-the largest eigenvalue 1/beta^2 of G^{-H} G^{-1} with two triangular
-solves per step (dense ``svdvals`` for systems below the Krylov
-dimension).  A Ritz value can only overestimate beta, and so let delta
-underestimate the error; ``tests/test_error_bound.py::
-test_beta_matches_svdvals_on_grids`` keeps it within 1e-10 relative of
-``svdvals`` on the benchmark grids.  Residuals use sparse products with E
-and A held by the same solver.
+sigma_min(sE - A) = beta(s) is a dense ``svdvals`` of the pencil, in real
+arithmetic when s is real, cached per frequency by
+``transfer.PencilSolver`` next to the LU of the resolvent solves.  beta
+must not be overestimated, or delta would fall below the true error, so
+it is exact rather than a Krylov estimate: a Krylov iteration started
+from the previous frequency's singular vector can miss the smallest
+singular value of a decoupled system outright.
+``tests/test_error_bound.py::test_beta_matches_svdvals_on_grids``
+compares beta with the complex ``svdvals`` on the benchmark grids and on
+such a decoupled system.  Residuals use sparse products with E and A
+held by the same solver.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ __all__ = ["beta", "BoundEvaluator", "BoundValue"]
 
 
 def beta(sys, s, solver=None):
-    """Smallest singular value of sE - A, from the solver's cached LU."""
+    """Smallest singular value of sE - A, cached per frequency by the solver."""
     return transfer._solver(sys, solver).sigma_min(s)
 
 
@@ -110,10 +112,7 @@ class BoundEvaluator:
 
     def delta1(self, s):
         r_pr, r_du = self.residuals_1(s)
-        b = self.beta(s)
-        if b <= 0.0:
-            return np.inf
-        return np.linalg.norm(r_pr) * np.linalg.norm(r_du) / b
+        return np.linalg.norm(r_pr) * np.linalg.norm(r_du) / self.beta(s)
 
     def h1_rom(self, s):
         """Transfer function of the reduced first subsystem (0 for empty bases)."""
@@ -141,10 +140,8 @@ class BoundEvaluator:
 
     def delta2(self, s1, s2):
         r_pr, r_du = self.residuals_2(s1, s2)
-        b = self.beta(complex(s1) + complex(s2))
-        if b <= 0.0:
-            return np.inf
-        return np.linalg.norm(r_pr) * np.linalg.norm(r_du) / b
+        return (np.linalg.norm(r_pr) * np.linalg.norm(r_du)
+                / self.beta(complex(s1) + complex(s2)))
 
     def h2_rom(self, s1, s2):
         """Second transfer function of the reduced second subsystem."""

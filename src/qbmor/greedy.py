@@ -82,11 +82,10 @@ class TraceRow:
     true_error_max: float | None
     basis_size_V: int
     basis_size_W: int
-    # work of the iteration: LU factorizations, sigma_min evaluations and
-    # Lanczos matrix-vector products (see transfer.PencilSolver.counts)
+    # work of the iteration: LU factorizations and sigma_min evaluations
+    # (see transfer.PencilSolver.counts)
     factorizations: int
     sigma_min_evals: int
-    lanczos_matvecs: int
     wall_time: float
 
 
@@ -235,7 +234,7 @@ def reduce_final(sys, V, W):
 
 
 # per-iteration work counts, named as in transfer.PencilSolver.counts
-_COUNT_COLUMNS = ["factorizations", "sigma_min_evals", "lanczos_matvecs"]
+_COUNT_COLUMNS = ["factorizations", "sigma_min_evals"]
 _TRACE_COLUMNS = [
     "iter", "sigma1_re", "sigma1_im", "sigma2_re", "sigma2_im",
     "delta1", "delta2", "delta", "true_error", "basis_V", "basis_W",

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .qb_model import QBSystem, apply_quadratic
 
@@ -39,16 +38,14 @@ __all__ = [
 ]
 
 _RESIDUAL_TOL = 1e-10
-# ARPACK settings for sigma_min: Krylov dimension and relative tolerance
-_LANCZOS_NCV = 6
-_LANCZOS_TOL = 1e-12
+_EPS = np.finfo(float).eps
 
 
 @dataclass
 class _Pencil:
-    """Cached data of sE - A at one frequency."""
+    """Cached data of sE - A at one frequency, each item computed on first use."""
 
-    lu: tuple
+    lu: tuple | None = None
     sigma_min: float | None = None
     x1: np.ndarray | None = None
 
@@ -57,13 +54,13 @@ class PencilSolver:
     """Per-frequency cache of the LU of sE - A, sigma_min(sE - A) and x1(s).
 
     Entries are keyed by the exact complex value of s.  One factorization
-    serves x1-type solves, transposed y1-type solves and the Lanczos
-    iteration for sigma_min at the same frequency.  A frequency where the
-    LAPACK reciprocal condition estimate of sE - A is below machine
-    epsilon raises ``np.linalg.LinAlgError``.
+    serves x1-type solves and transposed y1-type solves at the same
+    frequency.  A frequency where sE - A is numerically singular (LAPACK
+    reciprocal condition estimate, or sigma_min / sigma_max, below machine
+    epsilon) raises ``np.linalg.LinAlgError``.
 
-    ``counts`` tallies factorizations, sigma_min evaluations and Lanczos
-    matrix-vector products (two LU solves each) since construction.
+    ``counts`` tallies factorizations and sigma_min evaluations since
+    construction.
     """
 
     def __init__(self, sys: QBSystem):
@@ -71,23 +68,22 @@ class PencilSolver:
         self._cache = {}
         self._q2 = None
         self._E, self._A = sp.csr_matrix(sys.E), sp.csr_matrix(sys.A)
-        self._Et, self._At = sp.csr_matrix(sys.E.T), sp.csr_matrix(sys.A.T)
-        self._v0 = None
-        self.counts = {"factorizations": 0, "sigma_min_evals": 0, "lanczos_matvecs": 0}
+        self.counts = {"factorizations": 0, "sigma_min_evals": 0}
 
-    def _entry(self, s):
+    def _lu(self, s):
         key = complex(s)
         entry = self._cache.get(key)
-        if entry is None:
+        if entry is None or entry.lu is None:
             G = key * self.sys.E - self.sys.A
             lu = sla.lu_factor(G)
             self.counts["factorizations"] += 1
             rcond, _ = sla.lapack.zgecon(lu[0], np.linalg.norm(G, 1), norm="1")
-            if not rcond >= np.finfo(float).eps:
+            if not rcond >= _EPS:
                 raise np.linalg.LinAlgError(
                     f"pencil sE - A singular at s = {key} (rcond {rcond:.1e})")
-            entry = self._cache[key] = _Pencil(lu)
-        return entry
+            entry = self._cache.setdefault(key, _Pencil())
+            entry.lu = lu
+        return entry.lu
 
     def apply(self, s, x):
         """(sE - A) x from the sparse copies of E and A."""
@@ -95,12 +91,12 @@ class PencilSolver:
 
     def apply_t(self, s, x):
         """(sE - A)^T x (plain transpose) from the sparse copies of E and A."""
-        return complex(s) * (self._Et @ x) - self._At @ x
+        return complex(s) * (self._E.T @ x) - self._A.T @ x
 
     def solve(self, s, b):
         """Solve (sE - A) x = b."""
         b = np.asarray(b, dtype=complex)
-        x = sla.lu_solve(self._entry(s).lu, b)
+        x = sla.lu_solve(self._lu(s), b)
         if __debug__:
             nb = np.linalg.norm(b)
             if nb > 0:
@@ -110,56 +106,42 @@ class PencilSolver:
 
     def solve_t(self, s, b):
         """Solve (sE - A)^T x = b (plain transpose)."""
-        return sla.lu_solve(self._entry(s).lu, np.asarray(b, dtype=complex), trans=1)
+        return sla.lu_solve(self._lu(s), np.asarray(b, dtype=complex), trans=1)
 
     def x1(self, s):
         """x1(s) = (sE - A)^{-1} B, solved once per frequency (read-only)."""
-        entry = self._entry(s)
-        if entry.x1 is None:
-            entry.x1 = self.solve(s, self.sys.B)
-            entry.x1.flags.writeable = False
+        key = complex(s)
+        entry = self._cache.get(key)
+        if entry is None or entry.x1 is None:
+            x1 = self.solve(key, self.sys.B)
+            x1.flags.writeable = False
+            entry = self._cache.setdefault(key, _Pencil())
+            entry.x1 = x1
         return entry.x1
 
     def sigma_min(self, s):
-        """Smallest singular value of sE - A.
+        """Smallest singular value of sE - A, from a dense SVD.
 
-        The largest eigenvalue 1/sigma_min^2 of G^{-H} G^{-1}, G = sE - A,
-        comes from ARPACK (k = 1) with matrix-vector products through the
-        cached LU, warm-started from the previous call's singular vector.
-        Dense ``svdvals`` serves systems smaller than the Krylov dimension
-        and a Lanczos run that does not converge.
+        A real s keeps the pencil real: the singular values are the same
+        and the real SVD is cheaper than the complex one.
         """
-        entry = self._entry(s)
-        if entry.sigma_min is None:
-            entry.sigma_min = self._lanczos_sigma_min(s, entry.lu)
+        key = complex(s)
+        entry = self._cache.get(key)
+        if entry is None or entry.sigma_min is None:
+            z = key.real if key.imag == 0 else key
+            sv = sla.svdvals(z * self.sys.E - self.sys.A)
             self.counts["sigma_min_evals"] += 1
+            if not sv[-1] > _EPS * sv[0]:
+                raise np.linalg.LinAlgError(
+                    f"pencil sE - A singular at s = {key} (sigma_min {sv[-1]:.1e})")
+            entry = self._cache.setdefault(key, _Pencil())
+            entry.sigma_min = float(sv[-1])
         return entry.sigma_min
 
     def cached_sigma_min(self, s):
         """sigma_min(sE - A) if already computed, else None."""
         entry = self._cache.get(complex(s))
         return None if entry is None else entry.sigma_min
-
-    def _lanczos_sigma_min(self, s, lu):
-        n = self.sys.n
-        if n >= _LANCZOS_NCV:
-            def matvec(x):
-                self.counts["lanczos_matvecs"] += 1
-                y = sla.lu_solve(lu, x, check_finite=False)
-                return sla.lu_solve(lu, y, trans=2, check_finite=False)
-
-            if self._v0 is None:  # a fixed start, not ARPACK's internal random state
-                self._v0 = np.random.default_rng(0).standard_normal(n).astype(complex)
-            op = spla.LinearOperator((n, n), matvec=matvec, dtype=complex)
-            try:
-                lam, vec = spla.eigsh(op, k=1, which="LM", v0=self._v0,
-                                      ncv=_LANCZOS_NCV, tol=_LANCZOS_TOL)
-            except spla.ArpackNoConvergence:
-                pass
-            else:
-                self._v0 = vec[:, 0]
-                return float(1.0 / np.sqrt(lam[0]))
-        return float(sla.svdvals(complex(s) * self.sys.E - self.sys.A)[-1])
 
     @property
     def q2(self):
