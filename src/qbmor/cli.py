@@ -10,11 +10,14 @@ from __future__ import annotations
 import configparser
 import hashlib
 import json
+import os
+import platform
 import sys as _sys
 from pathlib import Path
 
 import click
 import numpy as np
+import scipy
 
 from . import __version__, benchmarks, error_bound, greedy, irka, projection, sim, transfer
 from .qb_model import InputSignal, load_system, save_system
@@ -22,6 +25,10 @@ from .qb_model import InputSignal, load_system, save_system
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_NONCONVERGED = 4
+
+# BLAS reads these when numpy is first imported; later changes have no effect
+_THREAD_ENV = {k: os.environ.get(k)
+               for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 
 
 def _fail(code, message):
@@ -98,6 +105,10 @@ def _write_run_manifest(outdir, config_path):
     (Path(outdir) / "run_manifest.json").write_text(json.dumps({
         "config_hash": hashlib.sha256(text.encode()).hexdigest(),
         "qbmor_version": __version__,
+        "python_version": platform.python_version(),
+        "numpy_version": np.__version__,
+        "scipy_version": scipy.__version__,
+        "thread_env": _THREAD_ENV,
     }, indent=2))
 
 
@@ -272,6 +283,8 @@ def simulate(sysdir, input_kind, t_end, dt, scheme, out):
         traj = sim.simulate_qb(system, _INPUTS[input_kind], t_end, dt, scheme)
     except (sim.SimulationError, np.linalg.LinAlgError) as exc:
         _fail(EXIT_NUMERICAL, exc)
+    except ValueError as exc:  # invalid time grid (LinAlgError, a ValueError, is caught above)
+        _fail(EXIT_CONFIG, exc)
     with open(out, "w") as fh:
         fh.write("t,y\n")
         for t, y in zip(traj.times, traj.outputs):
@@ -303,6 +316,8 @@ def compare(sysdir, romdirs, input_kind, t_end, dt, scheme, out):
             roms.append((Path(d).name, sim.simulate_qb(rsys, u, t_end, dt, scheme)))
     except (sim.SimulationError, np.linalg.LinAlgError) as exc:
         _fail(EXIT_NUMERICAL, exc)
+    except ValueError as exc:
+        _fail(EXIT_CONFIG, exc)
     names = [name for name, _ in roms]
     with open(out, "w") as fh:
         cols = ["t", "y_full"]

@@ -1,8 +1,10 @@
 """Time integration of full and reduced QB systems plus output comparison.
 
 Implicit Euler solves the per-step nonlinear equation by Newton iteration
-with the analytic Jacobian E/dt - A - N u - 2 Q(x kron .); RK4 integrates
-the explicit vector field E^{-1}(...) and therefore requires invertible E.
+with the analytic Jacobian E/dt - A - N u - 2 Q(x kron .).  The quadratic
+part comes from Q reshaped to n^2 x n once per run, so each Newton
+iteration costs one sparse matvec for it.  RK4 integrates the explicit
+vector field E^{-1}(...) and therefore requires invertible E.
 """
 
 from __future__ import annotations
@@ -42,14 +44,16 @@ class Trajectory:
         self.outputs = np.asarray(self.outputs, dtype=float)
 
 
-def _quadratic_jacobian(Q, x):
-    """Dense matrix of v -> 2 Q(x kron v) for symmetrized Q."""
-    Qc = sp.coo_matrix(Q)
+def _jacobian_operator(Q):
+    """Q reshaped to n^2 x n: row i*n + j holds T(i, j, :) = T(i, :, j) for symmetrized Q."""
     n = Q.shape[0]
-    j, k = Qc.col // n, Qc.col % n
-    M = np.zeros((n, n))
-    np.add.at(M, (Qc.row, k), Qc.data * x[j])
-    return 2.0 * M
+    return sp.csr_matrix(Q.reshape(n * n, n))
+
+
+def _quadratic_jacobian(Qj, x):
+    """Dense matrix of v -> 2 Q(x kron v) for symmetrized Q; Qj = _jacobian_operator(Q)."""
+    n = x.shape[0]
+    return 2.0 * (Qj @ x).reshape(n, n)
 
 
 def _qb_rhs(sys, x, u):
@@ -66,6 +70,12 @@ def simulate_qb(sys, u, t_end, dt, scheme="implicit_euler",
     """
     if scheme not in ("implicit_euler", "rk4"):
         raise ValueError(f"unknown scheme {scheme!r}")
+    if not (np.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be finite and positive, got {dt!r}")
+    if not (np.isfinite(t_end) and t_end >= 0):
+        raise ValueError(f"t_end must be finite and non-negative, got {t_end!r}")
+    if not np.isfinite(t_end / dt):
+        raise ValueError(f"t_end / dt overflows: t_end={t_end!r}, dt={dt!r}")
     x = np.array(sys.x0 if x0 is None else x0, dtype=float)
     nsteps = int(round(t_end / dt))
     times = np.arange(nsteps + 1) * dt
@@ -82,12 +92,14 @@ def simulate_qb(sys, u, t_end, dt, scheme="implicit_euler",
 
         def f(t, x):
             return sla.lu_solve(elu, _qb_rhs(sys, x, float(u(t))))
+    else:
+        ie = _ImplicitEuler(sys, dt)
 
     for k in range(nsteps):
         if scheme == "rk4":
             x = _rk4_step(f, times[k], x, dt)
         else:
-            x = _implicit_euler_step(sys, x, float(u(times[k + 1])), dt, k)
+            x = ie.step(x, float(u(times[k + 1])), k)
         ys[k + 1] = sys.C @ x
         if abs(ys[k + 1]) > divergence_limit or not np.isfinite(ys[k + 1]):
             diverged = True
@@ -108,18 +120,28 @@ def _rk4_step(f, t, x, dt):
     return x + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
-def _implicit_euler_step(sys, x, u_next, dt, step_index):
-    scale = max(np.linalg.norm(sys.B) * abs(u_next), np.linalg.norm(x) / dt, 1.0)
-    x_new = x.copy()
-    for _ in range(NEWTON_MAX_STEPS):
-        F = sys.E @ (x_new - x) / dt - _qb_rhs(sys, x_new, u_next)
-        if np.linalg.norm(F) <= NEWTON_TOL * scale:
-            return x_new
-        J = (sys.E / dt - sys.A - sys.N * u_next
-             - _quadratic_jacobian(sys.Q, x_new))
-        x_new = x_new - np.linalg.solve(J, F)
-    raise SimulationError(
-        f"Newton failed to converge at step {step_index}; try a smaller dt")
+class _ImplicitEuler:
+    """Implicit Euler steps by Newton iteration; the run's invariants are built once."""
+
+    def __init__(self, sys, dt):
+        self.sys, self.dt = sys, dt
+        self.G = sys.E / dt - sys.A
+        self.b_norm = np.linalg.norm(sys.B)
+        self.Qj = _jacobian_operator(sys.Q)
+
+    def step(self, x, u_next, step_index):
+        sys, dt = self.sys, self.dt
+        scale = max(self.b_norm * abs(u_next), np.linalg.norm(x) / dt, 1.0)
+        J_lin = self.G - sys.N * u_next
+        x_new = x.copy()
+        for _ in range(NEWTON_MAX_STEPS):
+            F = sys.E @ (x_new - x) / dt - _qb_rhs(sys, x_new, u_next)
+            if np.linalg.norm(F) <= NEWTON_TOL * scale:
+                return x_new
+            J = J_lin - _quadratic_jacobian(self.Qj, x_new)
+            x_new = x_new - np.linalg.solve(J, F)
+        raise SimulationError(
+            f"Newton failed to converge at step {step_index}; try a smaller dt")
 
 
 def integrate_rk4(f, x0, t_end, dt):

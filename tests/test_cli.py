@@ -2,10 +2,13 @@
 
 import hashlib
 import json
+import os
+import platform
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from click.testing import CliRunner
 
 import qbmor
@@ -124,6 +127,13 @@ class TestRunManifest:
             assert manifest["qbmor_version"] == qbmor.__version__
             expected = hashlib.sha256(cfg.read_text().encode()).hexdigest()
             assert manifest["config_hash"] == expected
+            assert manifest["python_version"] == platform.python_version()
+            assert manifest["numpy_version"] == np.__version__
+            assert manifest["scipy_version"] == scipy.__version__
+            assert set(manifest["thread_env"]) == {
+                "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
+            for key, value in manifest["thread_env"].items():
+                assert value == os.environ.get(key)
 
 
 class TestFrequencyDomain:
@@ -168,6 +178,16 @@ class TestTimeDomain:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "t,y"
         assert len(lines) == 52
+
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    def test_invalid_time_step_exit_config(self, tmp_path, runner, burgers_dir, command):
+        args = [command, "--system", str(burgers_dir), "--input", "cosine_pi",
+                "--dt", "0", "--out", str(tmp_path / "out.csv")]
+        if command == "compare":
+            args += ["--rom", str(burgers_dir)]
+        res = runner.invoke(main, args)
+        assert res.exit_code == 2, res.output
+        assert "dt must be finite and positive" in res.output
 
     def test_compare_full_vs_rom(self, tmp_path, runner, burgers_dir):
         cfg = _greedy_config(tmp_path)

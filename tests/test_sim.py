@@ -8,11 +8,13 @@ from qbmor import InputSignal, QBSystem
 from qbmor.sim import (
     SimulationError,
     Trajectory,
+    _jacobian_operator,
+    _quadratic_jacobian,
     compare_outputs,
     integrate_rk4,
     simulate_qb,
 )
-from conftest import scalar_qb
+from conftest import random_qb, scalar_qb
 
 
 def _linear_scalar(e=1.0, a=1.0):
@@ -61,23 +63,65 @@ class TestClosedFormOracles:
 
 
 class TestConvergenceOrders:
-    def _errors(self, scheme, dts):
-        sys = scalar_qb(a=1.0, q=0.3, nu=0.2)
+    SYS = dict(a=1.0, q=0.3, nu=0.2)
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        """Final output of a dt = 1e-5 RK4 run, shared by both order tests."""
+        ref = simulate_qb(scalar_qb(**self.SYS), InputSignal("exp_decay"), 1.0, 1e-5,
+                          scheme="rk4", x0=np.array([0.1]))
+        return ref.outputs[-1]
+
+    def _errors(self, reference, scheme, dts):
+        sys = scalar_qb(**self.SYS)
         u = InputSignal("exp_decay")
         errs = []
-        ref = simulate_qb(sys, u, 1.0, 1e-5, scheme="rk4", x0=np.array([0.1]))
         for dt in dts:
             traj = simulate_qb(sys, u, 1.0, dt, scheme=scheme, x0=np.array([0.1]))
-            errs.append(abs(traj.outputs[-1] - ref.outputs[-1]))
+            errs.append(abs(traj.outputs[-1] - reference))
         return errs
 
-    def test_implicit_euler_first_order(self):
-        e1, e2 = self._errors("implicit_euler", [1e-2, 5e-3])
+    def test_implicit_euler_first_order(self, reference):
+        e1, e2 = self._errors(reference, "implicit_euler", [1e-2, 5e-3])
         assert 1.6 <= e1 / e2 <= 2.4  # halving dt halves the error
 
-    def test_rk4_fourth_order(self):
-        e1, e2 = self._errors("rk4", [2e-2, 1e-2])
+    def test_rk4_fourth_order(self, reference):
+        e1, e2 = self._errors(reference, "rk4", [2e-2, 1e-2])
         assert 12.0 <= e1 / e2 <= 20.0
+
+
+def _scatter_jacobian(Q, x):
+    """The COO scatter formula the reshaped operator replaced, kept as a bitwise oracle."""
+    Qc = sp.coo_matrix(Q)
+    n = Q.shape[0]
+    j, k = Qc.col // n, Qc.col % n
+    M = np.zeros((n, n))
+    np.add.at(M, (Qc.row, k), Qc.data * x[j])
+    return 2.0 * M
+
+
+def _jacobian_systems():
+    rng = np.random.default_rng(11)
+    for n in (1, 7, 20):
+        for with_mass in (False, True):
+            yield pytest.param(random_qb(n, rng, q_scale=1.0, with_mass=with_mass),
+                               id=f"random n={n} mass={with_mass}")
+    n = 5
+    yield pytest.param(QBSystem.from_operators(
+        np.eye(n), -np.eye(n), np.zeros((n, n)), sp.csr_matrix((n, n * n)),
+        np.ones(n), np.ones(n)), id="zero Q")
+
+
+class TestQuadraticJacobian:
+    @pytest.mark.parametrize("sys", list(_jacobian_systems()))
+    def test_matches_dense_oracle_and_scatter(self, sys):
+        n = sys.n
+        x = np.random.default_rng(n).standard_normal(n)
+        J = _quadratic_jacobian(_jacobian_operator(sys.Q), x)
+        # d/dv Q(x kron v) = Q (x kron I), doubled by the symmetry of Q
+        dense = 2 * sys.Q.toarray() @ np.kron(x[:, None], np.eye(n))
+        np.testing.assert_allclose(J, dense, rtol=1e-12, atol=0)
+        assert np.array_equal(J, _scatter_jacobian(sys.Q, x))
 
 
 class TestSchemesAgree:
@@ -94,6 +138,19 @@ class TestErrorHandling:
     def test_unknown_scheme(self):
         with pytest.raises(ValueError, match="unknown scheme"):
             simulate_qb(scalar_qb(), InputSignal("zero"), 1.0, 0.1, scheme="euler")
+
+    @pytest.mark.parametrize("t_end,dt", [
+        (1.0, 0.0), (1.0, -1e-3), (1.0, np.nan), (1.0, np.inf),
+        (-1.0, 1e-3), (np.inf, 1e-3), (np.nan, 1e-3), (1.0, 1e-320),
+    ])
+    def test_invalid_time_grid(self, t_end, dt):
+        with pytest.raises(ValueError, match="dt must be|t_end must be|overflows"):
+            simulate_qb(scalar_qb(), InputSignal("zero"), t_end, dt)
+
+    def test_zero_horizon_gives_initial_output(self):
+        traj = simulate_qb(scalar_qb(), InputSignal("zero"), 0.0, 1e-3,
+                           x0=np.array([0.5]))
+        assert traj.times.tolist() == [0.0] and traj.outputs.tolist() == [0.5]
 
     def test_rk4_needs_invertible_mass(self):
         n = 2
