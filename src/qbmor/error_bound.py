@@ -21,8 +21,14 @@ from the previous frequency's singular vector can miss the smallest
 singular value of a decoupled system outright.
 ``tests/test_error_bound.py::test_beta_matches_svdvals_on_grids``
 compares beta with the complex ``svdvals`` on the benchmark grids and on
-such a decoupled system.  Residuals use sparse products with E and A
-held by the same solver.
+such a decoupled system.
+
+The greedy needs the exact bound only at the maximizer of a grid scan;
+elsewhere num / beta_lb >= delta, with num = ||r_du|| ||r_pr|| from
+:meth:`BoundEvaluator.parts_1` / :meth:`BoundEvaluator.parts_2` and the
+certified beta_lb <= beta of ``PencilSolver.sigma_min_lower``, can rule a
+point out (see ``greedy._scan``).  Residuals use sparse products with E
+and A held by the same solver.
 """
 
 from __future__ import annotations
@@ -62,7 +68,7 @@ class _ReducedPair:
         V, W = V[:, :r], W[:, :r]
         self.V = V
         self.W = W
-        self.E, self.A, _, self.B, self.C = projection.project_linear(sys, V, W)
+        self.E, self.A, self.B, self.C = projection.project_linear(sys, V, W)
 
     def solve_primal(self, s, rhs_reduced):
         return np.linalg.solve(s * self.E - self.A, rhs_reduced)
@@ -110,9 +116,14 @@ class BoundEvaluator:
         r_du = -sys.C - solver.apply_t(s, sub.W @ z_du)
         return r_pr, r_du
 
-    def delta1(self, s):
+    def parts_1(self, s):
+        """(||r_pr|| ||r_du||, s): delta1's numerator and its pencil frequency."""
         r_pr, r_du = self.residuals_1(s)
-        return np.linalg.norm(r_pr) * np.linalg.norm(r_du) / self.beta(s)
+        return np.linalg.norm(r_pr) * np.linalg.norm(r_du), complex(s)
+
+    def delta1(self, s):
+        num, z = self.parts_1(s)
+        return num / self.beta(z)
 
     def h1_rom(self, s):
         """Transfer function of the reduced first subsystem (0 for empty bases)."""
@@ -138,10 +149,14 @@ class BoundEvaluator:
         r_du = -sys.C - solver.apply_t(ssum, sub.W @ z_du)
         return r_pr, r_du
 
-    def delta2(self, s1, s2):
+    def parts_2(self, s1, s2):
+        """(||r_pr|| ||r_du||, s1 + s2): delta2's numerator and its pencil frequency."""
         r_pr, r_du = self.residuals_2(s1, s2)
-        return (np.linalg.norm(r_pr) * np.linalg.norm(r_du)
-                / self.beta(complex(s1) + complex(s2)))
+        return np.linalg.norm(r_pr) * np.linalg.norm(r_du), complex(s1) + complex(s2)
+
+    def delta2(self, s1, s2):
+        num, z = self.parts_2(s1, s2)
+        return num / self.beta(z)
 
     def h2_rom(self, s1, s2):
         """Second transfer function of the reduced second subsystem."""

@@ -98,7 +98,8 @@ class GreedyResult:
     converged: bool
     stagnated: bool = False
     # with validate_true_error set, one record per evaluated grid point and
-    # iteration: (iter, "delta1"|"delta2", point, bound, true_error)
+    # iteration: (iter, "delta1"|"delta2", point, bound, true_error), where
+    # bound is the exact delta if the scan computed it, else its upper bound
     validation: list = field(default_factory=list)
 
 
@@ -144,16 +145,16 @@ def run_greedy(sys, cfg):
 
         rec1 = [] if cfg.validate_true_error else None
         s1_next, delta1_max, true1_max = _scan(
-            ev.delta1, ev.true_error_1 if cfg.validate_true_error else None,
-            cfg.S1, used1, rec1)
+            ev.parts_1, ev.true_error_1 if cfg.validate_true_error else None,
+            cfg.S1, used1, ev, rec1)
 
         ev.set_bases_2(V2, W2)
 
         rec2 = [] if cfg.validate_true_error else None
         s2_next, delta2_max, true2_max = _scan(
-            lambda s: ev.delta2(s1_next, s),
+            lambda s: ev.parts_2(s1_next, s),
             (lambda s: ev.true_error_2(s1_next, s)) if cfg.validate_true_error else None,
-            cfg.S2, used2, rec2)
+            cfg.S2, used2, ev, rec2)
         if cfg.validate_true_error:
             validation.extend((it, "delta1", s, b, t) for s, b, t in rec1)
             validation.extend((it, "delta2", (s1_next, s), b, t) for s, b, t in rec2)
@@ -192,23 +193,52 @@ def run_greedy(sys, cfg):
                         validation=validation)
 
 
-def _scan(bound_fn, true_fn, grid, used, records=None):
-    """Exhaustive grid scan; returns (argmax point, max bound, max true error).
+def _scan(parts_fn, true_fn, grid, used, ev, records=None):
+    """Lazy certified grid scan; returns (argmax point, max bound, max true error).
+
+    parts_fn(s) gives the numerator of the bound at a grid point and the
+    frequency z of its pencil: the bound is num / sigma_min(zE - A).  With
+    the certified beta_lb(z) <= sigma_min of ``PencilSolver.sigma_min_lower``,
+    num / beta_lb (+inf where beta_lb <= 0) is an upper bound.  Points are
+    visited in decreasing upper bound, each taking its exact bound
+    num / ev.beta(z), until the best exact bound is strictly greater than
+    the next upper bound.  No point left can reach it, so the maximum and
+    its point (ties to the first index) are the exhaustive scan's, as the
+    same floats, with sigma_min computed only at the points visited.
 
     With true_fn given, also appends (point, bound, true_error) tuples to
-    records for every point whose bound evaluation succeeded.
+    records for every point whose bound evaluation succeeded; the bound is
+    the exact one where the scan computed it, else the upper bound.
     """
     candidates = [s for s in grid if complex(s) not in used]
     if not candidates:
         candidates = list(grid)
-    vals = []
-    for s in candidates:
+    nums = np.full(len(candidates), np.nan)
+    zs = np.zeros(len(candidates), dtype=complex)
+    for i, s in enumerate(candidates):
         try:
-            vals.append(bound_fn(s))
+            nums[i], zs[i] = parts_fn(s)
         except np.linalg.LinAlgError:
             warnings.warn(f"skipping sample point {s}: singular pencil")
-            vals.append(np.nan)
-    i, best = _argmax_scan(vals, candidates)
+    lower = ev.solver.sigma_min_lower(zs)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vals = np.where(lower > 0, nums / lower, np.inf)
+    vals[~np.isfinite(nums)] = np.nan
+    exact = np.full(len(candidates), np.nan)
+    best = -np.inf
+    for i in np.argsort(-vals, kind="stable"):
+        if not vals[i] >= best:  # the rest are ruled out (or NaN, sorted last)
+            break
+        try:
+            exact[i] = nums[i] / ev.beta(zs[i])
+        except np.linalg.LinAlgError:
+            warnings.warn(f"skipping sample point {candidates[i]}: singular pencil")
+            vals[i] = np.nan
+            continue
+        vals[i] = exact[i]
+        if np.isfinite(exact[i]):
+            best = max(best, exact[i])
+    i, best = _argmax_scan(exact, candidates)
     true_max = 0.0
     if true_fn is not None:
         for s, v in zip(candidates, vals):

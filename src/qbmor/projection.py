@@ -186,9 +186,8 @@ class ReducedQBSystem:
 
 
 def project_linear(sys, V, W):
-    """Linear reduced operators (W^T E V, W^T A V, W^T N V, W^T B, C V)."""
-    return (W.T @ sys.E @ V, W.T @ sys.A @ V, W.T @ sys.N @ V,
-            W.T @ sys.B, sys.C @ V)
+    """Reduced linear-part operators (W^T E V, W^T A V, W^T B, C V)."""
+    return W.T @ sys.E @ V, W.T @ sys.A @ V, W.T @ sys.B, sys.C @ V
 
 
 def reduce(sys, V, W):
@@ -200,7 +199,8 @@ def reduce(sys, V, W):
     n, r = V.shape
     if W.shape != (n, r):
         raise ValueError("V and W must have identical shapes")
-    Er, Ar, Nr, Br, Cr = project_linear(sys, V, W)
+    Er, Ar, Br, Cr = project_linear(sys, V, W)
+    Nr = W.T @ sys.N @ V
     if r:
         cond = np.linalg.cond(Er)
         if not np.isfinite(cond) or cond > 1e14:

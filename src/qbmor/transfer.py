@@ -39,6 +39,13 @@ __all__ = [
 
 _RESIDUAL_TOL = 1e-10
 _EPS = np.finfo(float).eps
+# rounding margin of sigma_min_lower, in units of n eps (|s| ||E|| + ||A||)
+_LOWER_MARGIN = 64
+
+
+def _norm2_bound(M):
+    """sqrt(||M||_1 ||M||_inf), a cheap upper bound on the spectral norm."""
+    return float(np.sqrt(np.linalg.norm(M, 1) * np.linalg.norm(M, np.inf)))
 
 
 @dataclass
@@ -57,7 +64,8 @@ class PencilSolver:
     serves x1-type solves and transposed y1-type solves at the same
     frequency.  A frequency where sE - A is numerically singular (LAPACK
     reciprocal condition estimate, or sigma_min / sigma_max, below machine
-    epsilon) raises ``np.linalg.LinAlgError``.
+    epsilon) raises ``np.linalg.LinAlgError``.  Every exact sigma_min also
+    becomes an anchor of the Weyl bound in :meth:`sigma_min_lower`.
 
     ``counts`` tallies factorizations and sigma_min evaluations since
     construction.
@@ -69,6 +77,9 @@ class PencilSolver:
         self._q2 = None
         self._E, self._A = sp.csr_matrix(sys.E), sp.csr_matrix(sys.A)
         self.counts = {"factorizations": 0, "sigma_min_evals": 0}
+        self._fov = None
+        # the Weyl anchors: frequencies with a cached sigma_min, and its value
+        self._anchor_t, self._anchor_sigma = [], []
 
     def _lu(self, s):
         key = complex(s)
@@ -136,12 +147,67 @@ class PencilSolver:
                     f"pencil sE - A singular at s = {key} (sigma_min {sv[-1]:.1e})")
             entry = self._cache.setdefault(key, _Pencil())
             entry.sigma_min = float(sv[-1])
+            self._anchor_t.append(key)
+            self._anchor_sigma.append(entry.sigma_min)
         return entry.sigma_min
 
     def cached_sigma_min(self, s):
         """sigma_min(sE - A) if already computed, else None."""
         entry = self._cache.get(complex(s))
         return None if entry is None else entry.sigma_min
+
+    def _field_of_values(self):
+        """Spectral data of the lower bounds, computed once per solver.
+
+        lambda_min and lambda_max of E_s, a bound on ||E_k||, lambda_max of
+        A_s, and the bounds sqrt(||.||_1 ||.||_inf) on ||E|| and ||A||.
+        """
+        if self._fov is None:
+            E, A = self.sys.E, self.sys.A
+            lam_E = sla.eigvalsh(0.5 * (E + E.T))
+            self._fov = (lam_E[0], lam_E[-1], _norm2_bound(0.5 * (E - E.T)),
+                         sla.eigvalsh(0.5 * (A + A.T))[-1], _norm2_bound(E), _norm2_bound(A))
+        return self._fov
+
+    def sigma_min_lower(self, s):
+        """Certified lower bound beta_lb(s) <= sigma_min(sE - A), for a scalar or 1-D array s.
+
+        Where sigma_min(s) is cached, beta_lb(s) is that value.  Elsewhere it
+        is the larger of two bounds, each less a rounding margin, and costs
+        no SVD and no factorization.  For s = x + iy, the field of values of
+        sE - A gives
+
+            sigma_min(s) >= x lambda(E_s) - |y| ||E_k|| - lambda_max(A_s),
+
+        with lambda = lambda_min for x >= 0, else lambda_max, and E_s, E_k,
+        A_s the symmetric and skew parts of E and A; Weyl's inequality gives
+
+            sigma_min(s) >= sigma_min(t) - |s - t| ||E||
+
+        for every anchor t, a frequency whose sigma_min is cached.  The
+        margin at s is 64 n eps (|s| ||E|| + ||A||), which bounds the
+        backward errors of ``svdvals`` and ``eigvalsh`` and the rounding of
+        the bounds themselves; the Weyl bound also subtracts the margin at t.
+        """
+        z = np.atleast_1d(np.asarray(s, dtype=complex))
+        lam_E_min, lam_E_max, norm_Ek, lam_A_max, eta_E, eta_A = self._field_of_values()
+
+        def margin(w):
+            return _LOWER_MARGIN * self.sys.n * _EPS * (np.abs(w) * eta_E + eta_A)
+
+        x = z.real
+        lb = (np.where(x >= 0, x * lam_E_min, x * lam_E_max)
+              - np.abs(z.imag) * norm_Ek - lam_A_max)
+        if self._anchor_t:
+            t, sigma = np.array(self._anchor_t), np.array(self._anchor_sigma)
+            weyl = (sigma - margin(t) - np.abs(z[:, None] - t) * eta_E).max(axis=1)
+            lb = np.maximum(lb, weyl)
+        lb = lb - margin(z)
+        for i, zi in enumerate(z):
+            exact = self.cached_sigma_min(zi)
+            if exact is not None:
+                lb[i] = exact
+        return lb if np.ndim(s) else float(lb[0])
 
     @property
     def q2(self):

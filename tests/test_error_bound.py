@@ -63,6 +63,21 @@ _GRID_SYSTEMS = {
 }
 
 
+def _grid_points():
+    """The real, imaginary and pair-sum grids of the greedy."""
+    g = default_grid()
+    return np.concatenate([g, 1j * g, (g[::10, None] + g[None, :]).ravel()])
+
+
+def _visiting_orders(points):
+    """Forward, reversed and shuffled."""
+    return points, points[::-1], np.random.default_rng(0).permutation(points)
+
+
+def _svdvals_min(sys, points):
+    return {complex(s): sla.svdvals(complex(s) * sys.E - sys.A)[-1] for s in points}
+
+
 @pytest.mark.parametrize("name", sorted(_GRID_SYSTEMS))
 def test_beta_matches_svdvals_on_grids(name):
     """beta against the complex dense svdvals on the real, imaginary and pair-sum grids.
@@ -73,15 +88,53 @@ def test_beta_matches_svdvals_on_grids(name):
     factorization.
     """
     sys = _GRID_SYSTEMS[name]()
-    g = default_grid()
-    points = np.concatenate([g, 1j * g, (g[::10, None] + g[None, :]).ravel()])
-    ref = {complex(s): sla.svdvals(complex(s) * sys.E - sys.A)[-1] for s in points}
-    shuffled = np.random.default_rng(0).permutation(points)
-    for order in (points, points[::-1], shuffled):
+    points = _grid_points()
+    ref = _svdvals_min(sys, points)
+    for order in _visiting_orders(points):
         solver = transfer.PencilSolver(sys)
         for s in order:
             b = beta(sys, s, solver)
             assert abs(b - ref[complex(s)]) <= 1e-10 * ref[complex(s)], (name, s)
+        assert solver.counts == {"factorizations": 0, "sigma_min_evals": len(ref)}
+
+
+def _descriptor_qb():
+    """A regular pencil whose E is singular and has a large skew part.
+
+    Two algebraic states make E singular.  On the imaginary axis the skew
+    part of E moves sigma_min(sE - A) about 3 below the field-of-values
+    bound that leaves the |y| ||E_k|| term out.
+    """
+    rng = np.random.default_rng(3)
+    n = 10
+    M = rng.standard_normal((8, 8))
+    E = np.zeros((n, n))
+    E[:8, :8] = np.eye(8) + 3 * (M - M.T) / np.linalg.norm(M - M.T, 2)
+    A = -5 * np.eye(n) + 0.5 * rng.standard_normal((n, n)) / np.sqrt(n)
+    return QBSystem.from_operators(E, A, np.zeros((n, n)), sp.csr_matrix((n, n * n)),
+                                   np.ones(n), np.ones(n))
+
+
+@pytest.mark.parametrize("name", sorted(_GRID_SYSTEMS) + ["descriptor"])
+def test_sigma_min_lower_is_certified(name):
+    """sigma_min_lower never exceeds the complex dense svdvals, and needs no factorization.
+
+    Checked on the grid points and on negative reals, first from the field
+    of values alone (one array call), then point by point in three orders,
+    where the sigma_min already computed serve as Weyl anchors; once
+    sigma_min(t) is cached the bound at t is that value.
+    """
+    sys = _descriptor_qb() if name == "descriptor" else _GRID_SYSTEMS[name]()
+    points = np.concatenate([_grid_points(), -0.5 * default_grid()[::7]])
+    ref = _svdvals_min(sys, points)
+    for order in _visiting_orders(points):
+        solver = transfer.PencilSolver(sys)
+        assert np.all(solver.sigma_min_lower(order) <= [ref[complex(s)] for s in order])
+        for s in order:
+            if solver.cached_sigma_min(s) is None:  # grid points can repeat
+                assert solver.sigma_min_lower(s) <= ref[complex(s)], (name, s)
+            sigma = solver.sigma_min(s)
+            assert solver.sigma_min_lower(s) == sigma
         assert solver.counts == {"factorizations": 0, "sigma_min_evals": len(ref)}
 
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from qbmor import benchmarks, greedy, projection
+from qbmor.error_bound import BoundEvaluator
 from qbmor.greedy import GreedyConfig, default_grid, read_trace, run_greedy, write_trace
 from conftest import random_qb
 
@@ -138,15 +139,84 @@ def test_singular_grid_point_is_skipped_without_asserts():
     assert out.stdout.strip() == "same"
 
 
-def test_trace_counts_solver_work(rng):
+def test_trace_counts_solver_work(rng, monkeypatch):
+    """sigma_min is evaluated only at the points the lazy scan cannot rule out."""
     sys_ = random_qb(15, rng)
+    # per iteration: frequencies whose exact sigma_min the scans asked for, uncached
+    not_ruled_out = []
+    enrich, beta = projection.enrich, BoundEvaluator.beta
+
+    def counting_enrich(*args):
+        not_ruled_out.append(0)
+        return enrich(*args)
+
+    def counting_beta(self, z):
+        if self.solver.cached_sigma_min(z) is None:
+            not_ruled_out[-1] += 1
+        return beta(self, z)
+
+    monkeypatch.setattr(projection, "enrich", counting_enrich)
+    monkeypatch.setattr(BoundEvaluator, "beta", counting_beta)
     res = run_greedy(sys_, _config(max_iters=3, eps_tol=1e-13))
-    first = res.trace[0]
+    grid = default_grid(0.1, 100, 20)
     # iteration 1 factors at least the start pair and every grid point it scans
-    assert first.factorizations >= len(default_grid(0.1, 100, 20))
-    assert first.sigma_min_evals >= len(default_grid(0.1, 100, 20))
-    for row in res.trace:
-        assert row.sigma_min_evals >= 1
+    assert res.trace[0].factorizations >= len(grid)
+    assert [row.sigma_min_evals for row in res.trace] == not_ruled_out
+    assert all(1 <= n < len(grid) for n in not_ruled_out)
+
+
+def _exhaustive_scan(parts_fn, true_fn, grid, used, ev, records=None):
+    """Reference scan: the exact bound num / sigma_min at every candidate."""
+    candidates = [s for s in grid if complex(s) not in used] or list(grid)
+    vals = []
+    for s in candidates:
+        try:
+            num, z = parts_fn(s)
+            vals.append(num / ev.beta(z))
+        except np.linalg.LinAlgError:
+            vals.append(np.nan)
+    i, best = greedy._argmax_scan(vals, candidates)
+    true_max = 0.0
+    if true_fn is not None:
+        for s, v in zip(candidates, vals):
+            if np.isfinite(v):
+                t = true_fn(s)
+                true_max = max(true_max, t)
+                records.append((complex(s), v, t))
+    return complex(candidates[i]), best, true_max
+
+
+_LAZY_SCAN_CASES = {
+    "rc_ladder": (lambda: benchmarks.rc_ladder(5), 119.5642, 1e-5),
+    "burgers": (lambda: benchmarks.burgers(20, 0.01), 5.4124, 1e-4),
+    "fhn": (lambda: benchmarks.fitzhugh_nagumo(10), 10.0, 1e-4),
+    "random": (lambda: random_qb(20, np.random.default_rng(7), with_mass=True), 1.0, 1e-6),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LAZY_SCAN_CASES))
+def test_lazy_scan_matches_exhaustive_scan(name, monkeypatch):
+    """The lazy scan selects the same points and maxima as the exhaustive scan.
+
+    Its validation records are never below the exhaustive scan's exact bounds.
+    """
+    make, sigma0, tol = _LAZY_SCAN_CASES[name]
+    sys_ = make()
+    cfg = GreedyConfig(sigma10=sigma0, sigma20=sigma0, S1=default_grid(), S2=default_grid(),
+                       eps_tol=tol, max_iters=10, validate_true_error=True)
+    lazy = run_greedy(sys_, cfg)
+    monkeypatch.setattr(greedy, "_scan", _exhaustive_scan)
+    ref = run_greedy(sys_, cfg)
+    assert lazy.pairs == ref.pairs
+    assert ([(r.delta1_max, r.delta2_max) for r in lazy.trace]
+            == [(r.delta1_max, r.delta2_max) for r in ref.trace])
+    assert np.array_equal(lazy.V, ref.V) and np.array_equal(lazy.W, ref.W)
+    exact = {rec[:3]: rec[3:] for rec in ref.validation}
+    assert len(lazy.validation) == len(exact)
+    for it, kind, point, bound, true in lazy.validation:
+        ref_bound, ref_true = exact[it, kind, point]
+        assert bound >= ref_bound and true == ref_true
+    assert sum(r.sigma_min_evals for r in lazy.trace) < sum(r.sigma_min_evals for r in ref.trace)
 
 
 def test_nonconvergence_flagged(rng):
