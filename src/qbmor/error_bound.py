@@ -29,6 +29,12 @@ elsewhere num / beta_lb >= delta, with num = ||r_du|| ||r_pr|| from
 certified beta_lb <= beta of ``PencilSolver.sigma_min_lower``, can rule a
 point out (see ``greedy._scan``).  Residuals use sparse products with E
 and A held by the same solver.
+
+The true errors that validate the bound take the full model's H1 from the
+cached x1(s), and its H2 from one B2(s1, s2), shared with the reduced H2,
+and a one-shot solve (``PencilSolver.solve_once``) at s1 + s2: apart from
+the selected pair, no other solve uses those pair sums, so a cached LU there
+would only hold memory.
 """
 
 from __future__ import annotations
@@ -158,15 +164,19 @@ class BoundEvaluator:
         num, z = self.parts_2(s1, s2)
         return num / self.beta(z)
 
+    def _h2_rom(self, ssum, b2):
+        sub = self._sub2
+        return sub.C @ sub.solve_primal(ssum, sub.W.T @ b2)
+
     def h2_rom(self, s1, s2):
         """Second transfer function of the reduced second subsystem."""
-        sub = self._sub2
-        ssum = complex(s1) + complex(s2)
-        z = sub.solve_primal(ssum, sub.W.T @ self._rhs2(s1, s2))
-        return sub.C @ z
+        return self._h2_rom(complex(s1) + complex(s2), self._rhs2(s1, s2))
 
     def true_error_2(self, s1, s2):
-        return abs(transfer.H2(self.sys, s1, s2, self.solver) - self.h2_rom(s1, s2))
+        """|H2 - H2_rom| at (s1, s2), both from one B2(s1, s2); the full H2 solve is one-shot."""
+        ssum = complex(s1) + complex(s2)
+        b2 = self._rhs2(s1, s2)
+        return abs(self.sys.C @ self.solver.solve_once(ssum, b2) - self._h2_rom(ssum, b2))
 
     def bound(self, s1, s2):
         return BoundValue(self.delta1(s1), self.delta2(s1, s2))

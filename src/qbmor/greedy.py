@@ -207,8 +207,9 @@ def _scan(parts_fn, true_fn, grid, used, ev, records=None):
     same floats, with sigma_min computed only at the points visited.
 
     With true_fn given, also appends (point, bound, true_error) tuples to
-    records for every point whose bound evaluation succeeded; the bound is
-    the exact one where the scan computed it, else the upper bound.
+    records for every point whose bound and true-error evaluations
+    succeeded; the bound is the exact one where the scan computed it, else
+    the upper bound.
     """
     candidates = [s for s in grid if complex(s) not in used]
     if not candidates:
@@ -243,7 +244,11 @@ def _scan(parts_fn, true_fn, grid, used, ev, records=None):
     if true_fn is not None:
         for s, v in zip(candidates, vals):
             if np.isfinite(v):
-                t = true_fn(s)
+                try:
+                    t = true_fn(s)
+                except np.linalg.LinAlgError:
+                    warnings.warn(f"skipping sample point {s}: singular pencil")
+                    continue
                 true_max = max(true_max, t)
                 if records is not None:
                     records.append((complex(s), v, t))

@@ -13,6 +13,13 @@ All quantities derive from resolvent solves with the pencil G(s) = sE - A:
 with B2(s1,s2) = Q(x1(s1) kron x1(s2)) + N(x1(s1)+x1(s2))/2 and
 c2(s1,s2) = Q2(x1(s2) kron y1(s1+s2)) + N^T y1(s1+s2)/2 built from the
 mode-2 matricization Q2.  Transposes are plain (non-conjugated) throughout.
+
+Solves that produce interpolation vectors or derivatives (x1, y1, x2, y2,
+dH2) use the complex LU that ``PencilSolver`` caches per frequency, so a
+basis does not depend on which solves came first.  H2 is a point
+evaluation, used mostly to validate the error bound at pair sums that
+nothing else solves at; it factors once without caching, in real arithmetic
+for real arguments.
 """
 
 from __future__ import annotations
@@ -62,13 +69,15 @@ class PencilSolver:
 
     Entries are keyed by the exact complex value of s.  One factorization
     serves x1-type solves and transposed y1-type solves at the same
-    frequency.  A frequency where sE - A is numerically singular (LAPACK
-    reciprocal condition estimate, or sigma_min / sigma_max, below machine
-    epsilon) raises ``np.linalg.LinAlgError``.  Every exact sigma_min also
-    becomes an anchor of the Weyl bound in :meth:`sigma_min_lower`.
+    frequency.  :meth:`solve_once` factors without caching, for point
+    evaluations whose LU nothing reuses.  A frequency where sE - A is
+    numerically singular (LAPACK reciprocal condition estimate below machine
+    epsilon, or sigma_min / sigma_max below n times it) raises
+    ``np.linalg.LinAlgError``.  Every exact sigma_min also becomes an anchor
+    of the Weyl bound in :meth:`sigma_min_lower`.
 
-    ``counts`` tallies factorizations and sigma_min evaluations since
-    construction.
+    ``counts`` tallies factorizations, cached and one-shot, and sigma_min
+    evaluations since construction.
     """
 
     def __init__(self, sys: QBSystem):
@@ -81,17 +90,23 @@ class PencilSolver:
         # the Weyl anchors: frequencies with a cached sigma_min, and its value
         self._anchor_t, self._anchor_sigma = [], []
 
+    def _factor(self, z):
+        """LU of zE - A, real for real z; LinAlgError where it is numerically singular."""
+        G = z * self.sys.E - self.sys.A
+        lu = sla.lu_factor(G)
+        self.counts["factorizations"] += 1
+        gecon = sla.get_lapack_funcs("gecon", (lu[0],))
+        rcond, _ = gecon(lu[0], np.linalg.norm(G, 1), norm="1")
+        if not rcond >= _EPS:
+            raise np.linalg.LinAlgError(
+                f"pencil sE - A singular at s = {complex(z)} (rcond {rcond:.1e})")
+        return lu
+
     def _lu(self, s):
         key = complex(s)
         entry = self._cache.get(key)
         if entry is None or entry.lu is None:
-            G = key * self.sys.E - self.sys.A
-            lu = sla.lu_factor(G)
-            self.counts["factorizations"] += 1
-            rcond, _ = sla.lapack.zgecon(lu[0], np.linalg.norm(G, 1), norm="1")
-            if not rcond >= _EPS:
-                raise np.linalg.LinAlgError(
-                    f"pencil sE - A singular at s = {key} (rcond {rcond:.1e})")
+            lu = self._factor(key)
             entry = self._cache.setdefault(key, _Pencil())
             entry.lu = lu
         return entry.lu
@@ -104,15 +119,35 @@ class PencilSolver:
         """(sE - A)^T x (plain transpose) from the sparse copies of E and A."""
         return complex(s) * (self._E.T @ x) - self._A.T @ x
 
-    def solve(self, s, b):
-        """Solve (sE - A) x = b."""
-        b = np.asarray(b, dtype=complex)
-        x = sla.lu_solve(self._lu(s), b)
+    def _check_residual(self, s, x, b):
         if __debug__:
             nb = np.linalg.norm(b)
             if nb > 0:
                 assert np.linalg.norm(self.apply(s, x) - b) <= _RESIDUAL_TOL * nb, \
                     f"solve at s={s} lost accuracy"
+
+    def solve(self, s, b):
+        """Solve (sE - A) x = b with the LU cached at s."""
+        b = np.asarray(b, dtype=complex)
+        x = sla.lu_solve(self._lu(s), b)
+        self._check_residual(s, x, b)
+        return x
+
+    def solve_once(self, s, b):
+        """Solve (sE - A) x = b for a point evaluation, from an LU that is not kept.
+
+        For real s and b the factorization and solve run in real arithmetic,
+        at under half the cost of complex; x is returned complex either way.
+        Its rounding differs from :meth:`solve`, so no interpolation vector
+        comes from here, only values that nothing reuses (H2 at a pair sum).
+        """
+        key = complex(s)
+        b = np.asarray(b, dtype=complex)
+        if key.imag == 0 and not b.imag.any():
+            x = sla.lu_solve(self._factor(key.real), b.real).astype(complex)
+        else:
+            x = sla.lu_solve(self._factor(key), b)
+        self._check_residual(key, x, b)
         return x
 
     def solve_t(self, s, b):
@@ -142,7 +177,10 @@ class PencilSolver:
             z = key.real if key.imag == 0 else key
             sv = sla.svdvals(z * self.sys.E - self.sys.A)
             self.counts["sigma_min_evals"] += 1
-            if not sv[-1] > _EPS * sv[0]:
+            # kappa_1 <= n kappa_2: a pencil accepted here also passes the
+            # rcond >= eps test of its LU, so the scan never selects a point
+            # it cannot then solve at
+            if not sv[-1] > self.sys.n * _EPS * sv[0]:
                 raise np.linalg.LinAlgError(
                     f"pencil sE - A singular at s = {key} (sigma_min {sv[-1]:.1e})")
             entry = self._cache.setdefault(key, _Pencil())
@@ -259,8 +297,13 @@ def H1(sys, s, solver=None):
 
 
 def H2(sys, s1, s2, solver=None):
-    """Second-order symmetric transfer function C x2(s1, s2)."""
-    return sys.C @ solve_x2(sys, s1, s2, solver)
+    """Second-order symmetric transfer function C x2(s1, s2).
+
+    A point evaluation: x2 comes from :meth:`PencilSolver.solve_once`, so no
+    LU at s1 + s2 stays in the solver's cache.
+    """
+    solver = _solver(sys, solver)
+    return sys.C @ solver.solve_once(s1 + s2, rhs_B2(sys, s1, s2, solver))
 
 
 def dH2(sys, s1, s2, which, solver=None):

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qbmor import benchmarks, greedy, projection
+from qbmor import benchmarks, greedy, projection, transfer
 from qbmor.error_bound import BoundEvaluator
 from qbmor.greedy import GreedyConfig, default_grid, read_trace, run_greedy, write_trace
 from conftest import random_qb
@@ -101,16 +101,22 @@ def test_interpolation_bases_are_the_greedy_bases(rng):
     assert np.array_equal(V, res.V) and np.array_equal(W, res.W)
 
 
-def _singular_point_run():
-    """RC ladder runs with and without s = 0, where sE - A is singular, in the grids."""
+def _singular_point_run(point=0.0, validate=False):
+    """RC ladder runs with and without a point where sE - A is singular in the grids."""
     sys_ = benchmarks.rc_ladder(5)
     g = default_grid()
     runs = []
-    for grid in (g, np.concatenate([[0.0], g])):
+    for grid in (g, np.concatenate([[point], g])):
         cfg = GreedyConfig(sigma10=119.5642, sigma20=119.5642, S1=grid, S2=grid,
-                           eps_tol=1e-5)
+                           eps_tol=1e-5, validate_true_error=validate)
         runs.append(run_greedy(sys_, cfg))
     return runs
+
+
+# sigma_min / sigma_max is 2.7e-16 here and the LU's rcond 1.9e-16: a sigma_min
+# test at eps alone accepts the point, the LU refuses it, and the greedy
+# selects s1 where no S2 solve is possible
+_NEAR_SINGULAR = 1.8329807108324374e-13
 
 
 def test_singular_grid_point_is_skipped():
@@ -131,12 +137,84 @@ def test_singular_grid_point_is_skipped_without_asserts():
         "      and np.array_equal(with_zero.W, plain.W) and with_zero.converged)\n"
         "print('same' if ok and not __debug__ else 'different')\n"
     )
+    assert _run_without_asserts(code) == "same"
+
+
+def _run_without_asserts(code):
+    """Standard output of code run by python -O, with the tests and src/ importable."""
     here = Path(__file__).resolve().parent
     path = os.pathsep.join([str(here), str(here.parent / "src"), os.environ.get("PYTHONPATH", "")])
     out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=path), timeout=300)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "same"
+    return out.stdout.strip()
+
+
+@pytest.mark.parametrize("validate", [False, True])
+def test_near_singular_grid_point_is_skipped(validate):
+    with pytest.warns(UserWarning, match="skipping sample point"):
+        plain, near = _singular_point_run(_NEAR_SINGULAR, validate)
+    assert plain.converged and near.converged
+    assert near.pairs == plain.pairs
+    assert np.array_equal(near.V, plain.V) and np.array_equal(near.W, plain.W)
+    assert near.validation == plain.validation
+
+
+def test_near_singular_grid_point_is_skipped_without_asserts():
+    code = (
+        "import warnings, numpy as np, test_greedy as t\n"
+        "warnings.simplefilter('ignore')\n"
+        "ok = not __debug__\n"
+        "for validate in (False, True):\n"
+        "    plain, near = t._singular_point_run(t._NEAR_SINGULAR, validate)\n"
+        "    ok = ok and (near.pairs == plain.pairs and np.array_equal(near.V, plain.V)\n"
+        "                 and np.array_equal(near.W, plain.W) and near.converged\n"
+        "                 and near.validation == plain.validation)\n"
+        "print('same' if ok else 'different')\n"
+    )
+    assert _run_without_asserts(code) == "same"
+
+
+def test_true_error_failure_skips_the_point():
+    """A point whose true-error solve fails is left out of the records, with a warning."""
+    sys_ = benchmarks.rc_ladder(5)
+    ev = BoundEvaluator(sys_)
+    grid = default_grid(num=10)
+    bad = complex(grid[3])
+
+    def true_fn(s):
+        if complex(s) == bad:
+            raise np.linalg.LinAlgError("singular")
+        return ev.true_error_1(s)
+
+    records = []
+    with pytest.warns(UserWarning, match="skipping sample point"):
+        greedy._scan(ev.parts_1, true_fn, grid, set(), ev, records)
+    assert [rec[0] for rec in records] == [complex(s) for s in grid if complex(s) != bad]
+
+
+def test_solver_keeps_no_lu_at_validation_pair_sums(monkeypatch):
+    """Cached LUs sit only at grid points, selected points and selected pair sums."""
+    solvers = []
+    init = transfer.PencilSolver.__init__
+
+    def recording_init(self, sys):
+        solvers.append(self)
+        init(self, sys)
+
+    monkeypatch.setattr(transfer.PencilSolver, "__init__", recording_init)
+    sys_ = benchmarks.burgers(20, 0.01)
+    cfg = GreedyConfig(sigma10=5.4124, sigma20=5.4124, S1=default_grid(), S2=default_grid(),
+                       eps_tol=1e-4, max_iters=10, validate_true_error=True)
+    res = run_greedy(sys_, cfg)
+    (solver,) = solvers
+    assert res.validation
+    allowed = {complex(s) for s in np.concatenate([cfg.S1, cfg.S2])}
+    allowed |= {complex(s) for pair in res.pairs for s in pair}
+    allowed |= {complex(s1) + complex(s2) for s1, s2 in res.pairs}
+    cached = {s for s, entry in solver._cache.items() if entry.lu is not None}
+    assert cached <= allowed
+    assert len(cached) < len(res.validation)
 
 
 def test_trace_counts_solver_work(rng, monkeypatch):

@@ -1,10 +1,34 @@
 """Transfer-function tests against scalar closed forms and finite differences."""
 
+import os
+import subprocess
+import sys as sys_module
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from qbmor import benchmarks, transfer
 from conftest import random_qb, scalar_qb
+
+
+# H2 of the lifted RC ladder at pairs summing to 0, where sE - A is singular,
+# by a real and by a complex one-shot solve
+_SINGULAR_H2 = """
+import numpy as np
+from qbmor import benchmarks, transfer
+sys = benchmarks.rc_ladder(5)
+for s1, s2 in [(1.0, -1.0), (2.0j, -2.0j)]:
+    try:
+        transfer.H2(sys, s1, s2)
+    except np.linalg.LinAlgError:
+        print("raised")
+"""
+
+
+def _src_env():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
 
 
 def _h1_scalar(s, a=1.0):
@@ -106,6 +130,31 @@ class TestPencilSolver:
             solver.sigma_min(0.0)
         assert not solver._cache
         transfer.solve_x1(sys, 1.0, solver)
+
+    def test_h2_factors_once_and_caches_nothing(self, rng):
+        sys = random_qb(7, rng, with_mass=True)
+        solver = transfer.PencilSolver(sys)
+        for s1, s2 in [(0.8, 1.1), (0.5 + 2.0j, 1.5 - 0.5j)]:
+            transfer.rhs_B2(sys, s1, s2, solver)  # x1(s1), x1(s2) cached first
+            before = dict(solver.counts)
+            transfer.H2(sys, s1, s2, solver)
+            assert solver.counts["factorizations"] == before["factorizations"] + 1
+            assert complex(s1 + s2) not in solver._cache
+
+    @pytest.mark.parametrize("s1, s2", [(0.8, 1.1), (0.3, 40.0), (0.5 + 2.0j, 1.5 - 0.5j),
+                                        (2.0j, 3.0)])
+    def test_h2_matches_cached_solve(self, rng, s1, s2):
+        sys = random_qb(7, rng, with_mass=True)
+        solver = transfer.PencilSolver(sys)
+        expected = sys.C @ transfer.solve_x2(sys, s1, s2, solver)
+        assert np.isclose(transfer.H2(sys, s1, s2, solver), expected, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["python", "python-O"])
+    def test_h2_at_singular_pair_sum_raises(self, flags):
+        out = subprocess.run([sys_module.executable, *flags, "-c", _SINGULAR_H2],
+                             capture_output=True, text=True, env=_src_env(), timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["raised"] * 2
 
     def test_apply_matches_dense_pencil(self, rng):
         sys = random_qb(7, rng, with_mass=True)
