@@ -40,6 +40,12 @@ def _fmt(x):
     return f"{x:.17g}"
 
 
+def _require_finite(*points):
+    """Exit 2 unless every given frequency (None: not given) is finite."""
+    if not all(np.isfinite(p) for p in points if p is not None):
+        _fail(EXIT_CONFIG, "frequencies must be finite")
+
+
 @click.group()
 def main():
     """Model order reduction for quadratic-bilinear descriptor systems."""
@@ -212,11 +218,12 @@ def tf_eval(sysdir, s1_re, s1_im, s2_re, s2_im):
     """Print H1(s1) or, given s2, H2(s1,s2) and both partial derivatives."""
     system = load_system(sysdir)
     s1 = complex(s1_re, s1_im)
+    s2 = None if s2_re is None else complex(s2_re, s2_im)
+    _require_finite(s1, s2)
     try:
-        if s2_re is None:
+        if s2 is None:
             click.echo(f"H1({s1}) = {transfer.H1(system, s1)}")
         else:
-            s2 = complex(s2_re, s2_im)
             solver = transfer.PencilSolver(system)
             click.echo(f"H2({s1},{s2}) = {transfer.H2(system, s1, s2, solver)}")
             click.echo(f"dH2/ds1 = {transfer.dH2(system, s1, s2, 1, solver)}")
@@ -243,6 +250,7 @@ def bound_eval(sysdir, trace_path, s1_re, s1_im, s2_re, s2_im):
     system = load_system(sysdir)
     rows = greedy.read_trace(trace_path)
     s1, s2 = complex(s1_re, s1_im), complex(s2_re, s2_im)
+    _require_finite(s1, s2)
     try:
         solver = transfer.PencilSolver(system)
         ev = error_bound.BoundEvaluator(system, solver)

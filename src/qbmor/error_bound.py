@@ -10,7 +10,10 @@ resolvent pencil:
 Primal subsystems are reduced with trial V, test W; duals with trial W,
 test V, so the dual reduced matrix is the transposed primal one.  Both
 bounds then dominate the true transfer-function errors |H1 - H1_rom| and
-|H2 - H2_rom| of the subsystem ROMs.
+|H2 - H2_rom| of the subsystem ROMs.  Each subsystem ROM keeps the leading
+columns of its bases that ``projection.square_bases`` selects; one
+``_ReducedPair`` routine serves both subsystems, which differ only in the
+pencil frequency (s or s1 + s2) and the right-hand side (B or B2(s1, s2)).
 
 sigma_min(sE - A) = beta(s) is a dense ``svdvals`` of the pencil, in real
 arithmetic when s is real, cached per frequency by
@@ -65,22 +68,22 @@ class BoundValue:
 
 
 class _ReducedPair:
-    """Reduced primal/dual operators of one subsystem for given bases."""
+    """The ROM of one subsystem: its square bases and reduced linear operators."""
 
     def __init__(self, sys, V, W):
-        # a square reduced pencil needs equally sized bases; deflation can
-        # unbalance them, in which case the trailing surplus is unused here
-        r = min(V.shape[1], W.shape[1])
-        V, W = V[:, :r], W[:, :r]
-        self.V = V
-        self.W = W
-        self.E, self.A, self.B, self.C = projection.project_linear(sys, V, W)
+        self.V, self.W = projection.square_bases(V, W)
+        self.E, self.A, _, self.C = projection.project_linear(sys, self.V, self.W)
 
-    def solve_primal(self, s, rhs_reduced):
-        return np.linalg.solve(s * self.E - self.A, rhs_reduced)
+    def transfer(self, z, b):
+        """C_r (zE_r - A_r)^{-1} W^T b (0 for empty bases)."""
+        return self.C @ np.linalg.solve(z * self.E - self.A, self.W.T @ b)
 
-    def solve_dual(self, s):
-        return np.linalg.solve((s * self.E - self.A).T, -self.C)
+    def residuals(self, solver, z, b):
+        """Primal residual b - (zE - A) V x_r and dual -C^T - (zE - A)^T W y_r."""
+        G = z * self.E - self.A
+        x = np.linalg.solve(G, self.W.T @ b)
+        y = np.linalg.solve(G.T, -self.C)
+        return b - solver.apply(z, self.V @ x), -solver.sys.C - solver.apply_t(z, self.W @ y)
 
 
 class BoundEvaluator:
@@ -100,27 +103,20 @@ class BoundEvaluator:
         self.set_bases_2(np.zeros((n, 0)), np.zeros((n, 0)))
 
     def set_bases_1(self, V1, W1):
-        self.V1, self.W1 = V1, W1
         self._sub1 = _ReducedPair(self.sys, V1, W1)
 
     def set_bases_2(self, V2, W2):
-        self.V2, self.W2 = V2, W2
         self._sub2 = _ReducedPair(self.sys, V2, W2)
 
     def beta(self, s):
         val = self.solver.cached_sigma_min(s)
         return beta(self.sys, s, self.solver) if val is None else val
 
-    # -- subsystem 1 ------------------------------------------------------
+    # -- subsystem 1: pencil at s, right-hand side B ----------------------
 
     def residuals_1(self, s):
         """Primal and dual residuals of the reduced first subsystem."""
-        sys, sub, solver = self.sys, self._sub1, self.solver
-        z = sub.solve_primal(s, sub.B)
-        r_pr = sys.B - solver.apply(s, sub.V @ z)
-        z_du = sub.solve_dual(s)
-        r_du = -sys.C - solver.apply_t(s, sub.W @ z_du)
-        return r_pr, r_du
+        return self._sub1.residuals(self.solver, s, self.sys.B)
 
     def parts_1(self, s):
         """(||r_pr|| ||r_du||, s): delta1's numerator and its pencil frequency."""
@@ -133,27 +129,17 @@ class BoundEvaluator:
 
     def h1_rom(self, s):
         """Transfer function of the reduced first subsystem (0 for empty bases)."""
-        sub = self._sub1
-        return sub.C @ sub.solve_primal(s, sub.B)
+        return self._sub1.transfer(s, self.sys.B)
 
     def true_error_1(self, s):
         return abs(transfer.H1(self.sys, s, self.solver) - self.h1_rom(s))
 
-    # -- subsystem 2 ------------------------------------------------------
-
-    def _rhs2(self, s1, s2):
-        return transfer.rhs_B2(self.sys, s1, s2, self.solver)
+    # -- subsystem 2: pencil at s1 + s2, right-hand side B2(s1, s2) -------
 
     def residuals_2(self, s1, s2):
         """Primal and dual residuals of the reduced second subsystem."""
-        sys, sub, solver = self.sys, self._sub2, self.solver
-        ssum = complex(s1) + complex(s2)
-        b2 = self._rhs2(s1, s2)
-        z = sub.solve_primal(ssum, sub.W.T @ b2)
-        r_pr = b2 - solver.apply(ssum, sub.V @ z)
-        z_du = sub.solve_dual(ssum)
-        r_du = -sys.C - solver.apply_t(ssum, sub.W @ z_du)
-        return r_pr, r_du
+        b2 = transfer.rhs_B2(self.sys, s1, s2, self.solver)
+        return self._sub2.residuals(self.solver, complex(s1) + complex(s2), b2)
 
     def parts_2(self, s1, s2):
         """(||r_pr|| ||r_du||, s1 + s2): delta2's numerator and its pencil frequency."""
@@ -164,19 +150,16 @@ class BoundEvaluator:
         num, z = self.parts_2(s1, s2)
         return num / self.beta(z)
 
-    def _h2_rom(self, ssum, b2):
-        sub = self._sub2
-        return sub.C @ sub.solve_primal(ssum, sub.W.T @ b2)
-
     def h2_rom(self, s1, s2):
         """Second transfer function of the reduced second subsystem."""
-        return self._h2_rom(complex(s1) + complex(s2), self._rhs2(s1, s2))
+        b2 = transfer.rhs_B2(self.sys, s1, s2, self.solver)
+        return self._sub2.transfer(complex(s1) + complex(s2), b2)
 
     def true_error_2(self, s1, s2):
         """|H2 - H2_rom| at (s1, s2), both from one B2(s1, s2); the full H2 solve is one-shot."""
         ssum = complex(s1) + complex(s2)
-        b2 = self._rhs2(s1, s2)
-        return abs(self.sys.C @ self.solver.solve_once(ssum, b2) - self._h2_rom(ssum, b2))
+        b2 = transfer.rhs_B2(self.sys, s1, s2, self.solver)
+        return abs(self.sys.C @ self.solver.solve_once(ssum, b2) - self._sub2.transfer(ssum, b2))
 
     def bound(self, s1, s2):
         return BoundValue(self.delta1(s1), self.delta2(s1, s2))

@@ -65,6 +65,9 @@ class GreedyConfig:
         self.S2 = np.asarray(self.S2, dtype=complex)
         if self.S1.size == 0 or self.S2.size == 0:
             raise ValueError("sample grids must be nonempty")
+        points = np.concatenate([[self.sigma10, self.sigma20], self.S1, self.S2])
+        if not np.all(np.isfinite(points)):
+            raise ValueError("start points and sample grid points must be finite")
         if not 0 < self.eps_tol < 1:
             raise ValueError("eps_tol must lie in (0, 1)")
         if self.max_iters < 1:
@@ -103,7 +106,7 @@ class GreedyResult:
     validation: list = field(default_factory=list)
 
 
-def _argmax_scan(values, candidates):
+def _argmax_scan(values):
     """Index of the maximum; ties break toward the first index."""
     best, best_i = -np.inf, None
     for i, v in enumerate(values):
@@ -143,26 +146,24 @@ def run_greedy(sys, cfg):
         V1, W1, V2, W2 = bases
         ev.set_bases_1(V1, W1)
 
-        rec1 = [] if cfg.validate_true_error else None
-        s1_next, delta1_max, true1_max = _scan(
+        s1_next, delta1_max, rec1 = _scan(
             ev.parts_1, ev.true_error_1 if cfg.validate_true_error else None,
-            cfg.S1, used1, ev, rec1)
+            cfg.S1, used1, ev)
 
         ev.set_bases_2(V2, W2)
 
-        rec2 = [] if cfg.validate_true_error else None
-        s2_next, delta2_max, true2_max = _scan(
+        s2_next, delta2_max, rec2 = _scan(
             lambda s: ev.parts_2(s1_next, s),
             (lambda s: ev.true_error_2(s1_next, s)) if cfg.validate_true_error else None,
-            cfg.S2, used2, ev, rec2)
-        if cfg.validate_true_error:
-            validation.extend((it, "delta1", s, b, t) for s, b, t in rec1)
-            validation.extend((it, "delta2", (s1_next, s), b, t) for s, b, t in rec2)
+            cfg.S2, used2, ev)
+        validation.extend((it, "delta1", s, b, t) for s, b, t in rec1)
+        validation.extend((it, "delta2", (s1_next, s), b, t) for s, b, t in rec2)
 
         V, W = projection.combine(bases)
 
         eps = delta1_max + delta2_max
-        true_max = (true1_max + true2_max) if cfg.validate_true_error else None
+        true_max = (max([0.0] + [t for *_, t in rec1]) + max([0.0] + [t for *_, t in rec2])
+                    if cfg.validate_true_error else None)
         trace.append(TraceRow(
             iter=it, sigma1=s1, sigma2=s2,
             delta1_max=delta1_max, delta2_max=delta2_max, delta=eps,
@@ -193,8 +194,8 @@ def run_greedy(sys, cfg):
                         validation=validation)
 
 
-def _scan(parts_fn, true_fn, grid, used, ev, records=None):
-    """Lazy certified grid scan; returns (argmax point, max bound, max true error).
+def _scan(parts_fn, true_fn, grid, used, ev):
+    """Lazy certified grid scan; returns (argmax point, max bound, records).
 
     parts_fn(s) gives the numerator of the bound at a grid point and the
     frequency z of its pencil: the bound is num / sigma_min(zE - A).  With
@@ -206,10 +207,10 @@ def _scan(parts_fn, true_fn, grid, used, ev, records=None):
     its point (ties to the first index) are the exhaustive scan's, as the
     same floats, with sigma_min computed only at the points visited.
 
-    With true_fn given, also appends (point, bound, true_error) tuples to
-    records for every point whose bound and true-error evaluations
-    succeeded; the bound is the exact one where the scan computed it, else
-    the upper bound.
+    records holds a (point, bound, true_error) tuple for every point whose
+    bound and true-error evaluations succeeded, or nothing without true_fn;
+    the bound is the exact one where the scan computed it, else the upper
+    bound.
     """
     candidates = [s for s in grid if complex(s) not in used]
     if not candidates:
@@ -239,20 +240,16 @@ def _scan(parts_fn, true_fn, grid, used, ev, records=None):
         vals[i] = exact[i]
         if np.isfinite(exact[i]):
             best = max(best, exact[i])
-    i, best = _argmax_scan(exact, candidates)
-    true_max = 0.0
+    i, best = _argmax_scan(exact)
+    records = []
     if true_fn is not None:
         for s, v in zip(candidates, vals):
             if np.isfinite(v):
                 try:
-                    t = true_fn(s)
+                    records.append((complex(s), v, true_fn(s)))
                 except np.linalg.LinAlgError:
                     warnings.warn(f"skipping sample point {s}: singular pencil")
-                    continue
-                true_max = max(true_max, t)
-                if records is not None:
-                    records.append((complex(s), v, t))
-    return complex(candidates[i]), best, true_max
+    return complex(candidates[i]), best, records
 
 
 def reduce_final(sys, V, W):

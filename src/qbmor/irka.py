@@ -10,7 +10,7 @@ quadratic-bilinear system.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -23,15 +23,12 @@ __all__ = ["IrkaConfig", "irka_linear", "irka_rom"]
 @dataclass
 class IrkaConfig:
     r: int
-    init_points: np.ndarray | None = None
     tol: float = 1e-4
     max_iters: int = 100
 
     def __post_init__(self):
         if self.r < 1:
             raise ValueError("r must be at least 1")
-        if self.init_points is not None:
-            self.init_points = _conjugate_close(np.asarray(self.init_points, complex))
 
 
 def _conjugate_close(points):
@@ -47,22 +44,12 @@ def _conjugate_close(points):
     return closed[order]
 
 
-def _default_init(r):
-    return np.logspace(-1, 3, r).astype(complex)
-
-
 def _movement(old, new):
-    """Max relative change between sorted point sets."""
-    old = np.sort_complex(old)
-    new = np.sort_complex(new)
-    m = min(len(old), len(new))
-    if m == 0:
+    """Max relative change between sorted point sets; inf if their sizes differ."""
+    if len(old) != len(new) or not len(old):
         return np.inf
-    denom = np.maximum(np.abs(old[:m]), 1e-300)
-    move = np.max(np.abs(old[:m] - new[:m]) / denom)
-    if len(old) != len(new):
-        return np.inf
-    return move
+    old, new = np.sort_complex(old), np.sort_complex(new)
+    return np.max(np.abs(old - new) / np.maximum(np.abs(old), 1e-300))
 
 
 def irka_linear(sys, cfg):
@@ -70,11 +57,9 @@ def irka_linear(sys, cfg):
 
     Output is sorted and conjugate-closed.  Unstable reduced eigenvalues are
     reflected into the right half plane; non-convergence returns the last
-    iterate with a warning.
+    iterate with a warning.  The start points are logspace(-1, 3, r).
     """
-    points = (_default_init(cfg.r) if cfg.init_points is None
-              else cfg.init_points.copy())
-    points = _conjugate_close(points)
+    points = np.logspace(-1, 3, cfg.r).astype(complex)
     solver = transfer.PencilSolver(sys)
     converged = False
     for _ in range(cfg.max_iters):
@@ -82,9 +67,8 @@ def irka_linear(sys, cfg):
         for s in points:
             V, _ = projection.orth_extend(V, transfer.solve_x1(sys, s, solver))
             W, _ = projection.orth_extend(W, transfer.solve_y1(sys, s, solver))
-        r = min(V.shape[1], W.shape[1])
-        V, W = V[:, :r], W[:, :r]
-        lam = sla.eigvals(W.T @ sys.A @ V, W.T @ sys.E @ V)
+        Er, Ar, _, _ = projection.project_linear(sys, *projection.square_bases(V, W))
+        lam = sla.eigvals(Ar, Er)
         lam = lam[np.isfinite(lam)]
         new_points = -lam
         flipped = new_points.real < 0
@@ -122,5 +106,4 @@ def irka_rom(sys, points, two_sided=True):
         W, _ = projection.orth_extend(W, ws)
     if not two_sided:
         return projection.reduce(sys, V, V)
-    r = min(V.shape[1], W.shape[1])
-    return projection.reduce(sys, V[:, :r], W[:, :r])
+    return projection.reduce(sys, *projection.square_bases(V, W))

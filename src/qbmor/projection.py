@@ -4,6 +4,10 @@ Bases are orthonormal real n x r arrays.  Complex candidate vectors are
 realified (split into real and imaginary parts) before orthogonalization,
 which keeps all reduced operators real; conjugate points need no extra
 columns since re/im spans already cover them.
+
+A square reduced pencil needs bases of equal width: :func:`square_bases`
+keeps the leading min(r_V, r_W) columns (the error bound's subsystem ROMs,
+IRKA), :func:`equalize_bases` pads the thinner basis (the shipped ROM).
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ __all__ = [
     "enrich",
     "subsystem_bases",
     "combine",
+    "square_bases",
     "build_interpolation_bases",
     "project_linear",
     "reduce",
@@ -51,12 +56,12 @@ def _realify(vectors):
     return np.column_stack(cols) if cols else np.zeros((vectors.shape[0], 0))
 
 
-def orth_extend(basis, new_vectors, tol=DEFLATION_TOL):
+def orth_extend(basis, new_vectors):
     """Extend an orthonormal basis by new (possibly complex) vectors.
 
     Modified Gram-Schmidt with one reorthogonalization pass; a candidate
-    whose residual drops below tol times its original norm is deflated.
-    Returns (basis, number_of_columns_added).
+    whose residual drops below DEFLATION_TOL times its original norm is
+    deflated.  Returns (basis, number_of_columns_added).
     """
     candidates = _realify(new_vectors)
     added = 0
@@ -69,7 +74,7 @@ def orth_extend(basis, new_vectors, tol=DEFLATION_TOL):
             if basis.shape[1]:
                 w = w - basis @ (basis.T @ w)
         nrm = np.linalg.norm(w)
-        if nrm < tol:
+        if nrm < DEFLATION_TOL:
             continue
         basis = np.column_stack([basis, w / nrm])
         added += 1
@@ -115,6 +120,12 @@ def combine(bases):
     return V, W
 
 
+def square_bases(V, W):
+    """The leading min(r_V, r_W) columns of V and of W; the larger one's surplus is dropped."""
+    r = min(V.shape[1], W.shape[1])
+    return V[:, :r], W[:, :r]
+
+
 def build_interpolation_bases(sys, pairs, solver=None):
     """Interpolation bases for a list of frequency-point pairs.
 
@@ -122,8 +133,7 @@ def build_interpolation_bases(sys, pairs, solver=None):
     :func:`equalize_bases`; for the pairs a greedy run selected these are
     exactly the bases it returns.
     """
-    if solver is None:
-        solver = transfer.PencilSolver(sys)
+    solver = transfer._solver(sys, solver)
     V, W = combine(subsystem_bases(sys, pairs, solver))
     return equalize_bases(sys, V, W, pairs, solver=solver)
 
@@ -139,8 +149,7 @@ def equalize_bases(sys, V, W, pairs, solver=None):
     """
     if V.shape[1] == W.shape[1]:
         return V, W
-    if solver is None:
-        solver = transfer.PencilSolver(sys)
+    solver = transfer._solver(sys, solver)
     v_pads = iter([s1 + s2 for s1, s2 in pairs])
     w_pads = iter([s for pair in pairs for s in pair])
     rng = np.random.default_rng(0)

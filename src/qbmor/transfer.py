@@ -73,8 +73,8 @@ class PencilSolver:
     evaluations whose LU nothing reuses.  A frequency where sE - A is
     numerically singular (LAPACK reciprocal condition estimate below machine
     epsilon, or sigma_min / sigma_max below n times it) raises
-    ``np.linalg.LinAlgError``.  Every exact sigma_min also becomes an anchor
-    of the Weyl bound in :meth:`sigma_min_lower`.
+    ``np.linalg.LinAlgError``.  Every cached sigma_min is also an anchor of
+    the Weyl bound in :meth:`sigma_min_lower`.
 
     ``counts`` tallies factorizations, cached and one-shot, and sigma_min
     evaluations since construction.
@@ -87,8 +87,6 @@ class PencilSolver:
         self._E, self._A = sp.csr_matrix(sys.E), sp.csr_matrix(sys.A)
         self.counts = {"factorizations": 0, "sigma_min_evals": 0}
         self._fov = None
-        # the Weyl anchors: frequencies with a cached sigma_min, and its value
-        self._anchor_t, self._anchor_sigma = [], []
 
     def _factor(self, z):
         """LU of zE - A, real for real z; LinAlgError where it is numerically singular."""
@@ -102,14 +100,18 @@ class PencilSolver:
                 f"pencil sE - A singular at s = {complex(z)} (rcond {rcond:.1e})")
         return lu
 
-    def _lu(self, s):
+    def _cached(self, s, item, compute):
+        """Item `item` of the cache entry at s, set to compute(complex(s)) on first use."""
         key = complex(s)
         entry = self._cache.get(key)
-        if entry is None or entry.lu is None:
-            lu = self._factor(key)
+        if entry is None or getattr(entry, item) is None:
+            value = compute(key)
             entry = self._cache.setdefault(key, _Pencil())
-            entry.lu = lu
-        return entry.lu
+            setattr(entry, item, value)
+        return getattr(entry, item)
+
+    def _lu(self, s):
+        return self._cached(s, "lu", self._factor)
 
     def apply(self, s, x):
         """(sE - A) x from the sparse copies of E and A."""
@@ -156,14 +158,11 @@ class PencilSolver:
 
     def x1(self, s):
         """x1(s) = (sE - A)^{-1} B, solved once per frequency (read-only)."""
-        key = complex(s)
-        entry = self._cache.get(key)
-        if entry is None or entry.x1 is None:
+        def compute(key):
             x1 = self.solve(key, self.sys.B)
             x1.flags.writeable = False
-            entry = self._cache.setdefault(key, _Pencil())
-            entry.x1 = x1
-        return entry.x1
+            return x1
+        return self._cached(s, "x1", compute)
 
     def sigma_min(self, s):
         """Smallest singular value of sE - A, from a dense SVD.
@@ -171,9 +170,7 @@ class PencilSolver:
         A real s keeps the pencil real: the singular values are the same
         and the real SVD is cheaper than the complex one.
         """
-        key = complex(s)
-        entry = self._cache.get(key)
-        if entry is None or entry.sigma_min is None:
+        def compute(key):
             z = key.real if key.imag == 0 else key
             sv = sla.svdvals(z * self.sys.E - self.sys.A)
             self.counts["sigma_min_evals"] += 1
@@ -183,11 +180,8 @@ class PencilSolver:
             if not sv[-1] > self.sys.n * _EPS * sv[0]:
                 raise np.linalg.LinAlgError(
                     f"pencil sE - A singular at s = {key} (sigma_min {sv[-1]:.1e})")
-            entry = self._cache.setdefault(key, _Pencil())
-            entry.sigma_min = float(sv[-1])
-            self._anchor_t.append(key)
-            self._anchor_sigma.append(entry.sigma_min)
-        return entry.sigma_min
+            return float(sv[-1])
+        return self._cached(s, "sigma_min", compute)
 
     def cached_sigma_min(self, s):
         """sigma_min(sE - A) if already computed, else None."""
@@ -236,8 +230,9 @@ class PencilSolver:
         x = z.real
         lb = (np.where(x >= 0, x * lam_E_min, x * lam_E_max)
               - np.abs(z.imag) * norm_Ek - lam_A_max)
-        if self._anchor_t:
-            t, sigma = np.array(self._anchor_t), np.array(self._anchor_sigma)
+        anchors = [(t, e.sigma_min) for t, e in self._cache.items() if e.sigma_min is not None]
+        if anchors:
+            t, sigma = (np.array(v) for v in zip(*anchors))
             weyl = (sigma - margin(t) - np.abs(z[:, None] - t) * eta_E).max(axis=1)
             lb = np.maximum(lb, weyl)
         lb = lb - margin(z)

@@ -87,6 +87,19 @@ class TestReduceGreedy:
                                    "--config", str(cfg), "--out", str(tmp_path / "r")])
         assert res.exit_code == 2
 
+    # grid_lo = -1 reaches GreedyConfig as NaN grid points, after numpy's log10 warning
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in log10:RuntimeWarning")
+    @pytest.mark.parametrize("key,value", [("sigma10_re", "nan"), ("sigma10_re", "inf"),
+                                           ("sigma20_im", "nan"), ("grid_lo", "nan"),
+                                           ("grid_lo", "-1")])
+    def test_non_finite_frequency_exit_config(self, tmp_path, runner, burgers_dir,
+                                              key, value):
+        cfg = _greedy_config(tmp_path, **{key: value})
+        res = runner.invoke(main, ["reduce", "greedy", "--system", str(burgers_dir),
+                                   "--config", str(cfg), "--out", str(tmp_path / "r")])
+        assert res.exit_code == 2, res.output
+        assert "finite" in res.output
+
     def test_nonconvergence_exit_code_with_artifacts(self, tmp_path, runner,
                                                      burgers_dir):
         cfg = _greedy_config(tmp_path, eps_tol="1e-14", max_iters="2")
@@ -145,6 +158,26 @@ class TestFrequencyDomain:
                                    "--s1-re", "1.0", "--s2-re", "2.0"])
         assert res.exit_code == 0
         assert "H2(" in res.output and "dH2/ds1" in res.output
+
+    @pytest.mark.parametrize("args", [["--s1-re", "nan"], ["--s1-re", "1.0", "--s1-im", "inf"],
+                                      ["--s1-re", "1.0", "--s2-re", "nan"],
+                                      ["--s1-re", "1.0", "--s2-re", "2.0", "--s2-im", "nan"]])
+    def test_tf_eval_non_finite_exit_config(self, runner, burgers_dir, args):
+        res = runner.invoke(main, ["tf", "eval", "--system", str(burgers_dir)] + args)
+        assert res.exit_code == 2, res.output
+        assert "finite" in res.output
+
+    @pytest.mark.parametrize("args", [["--s1-re", "nan", "--s2-re", "1.0"],
+                                      ["--s1-re", "1.0", "--s2-re", "1.0", "--s2-im", "-inf"]])
+    def test_bound_eval_non_finite_exit_config(self, tmp_path, runner, burgers_dir, args):
+        out = tmp_path / "run"
+        res = runner.invoke(main, ["reduce", "greedy", "--system", str(burgers_dir),
+                                   "--config", str(_greedy_config(tmp_path)), "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        res = runner.invoke(main, ["bound", "eval", "--system", str(burgers_dir),
+                                   "--trace", str(out / "trace.csv")] + args)
+        assert res.exit_code == 2, res.output
+        assert "finite" in res.output
 
     def test_bound_eval_from_trace(self, tmp_path, runner, burgers_dir):
         cfg = _greedy_config(tmp_path)

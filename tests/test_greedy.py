@@ -37,6 +37,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="max_iters"):
             _config(max_iters=0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, np.nan)])
+    @pytest.mark.parametrize("field", ["sigma10", "sigma20", "S1", "S2"])
+    def test_non_finite_frequency_rejected(self, field, bad):
+        value = np.append(default_grid(0.1, 100, 20), bad) if field in ("S1", "S2") else bad
+        with pytest.raises(ValueError, match="finite"):
+            _config(**{field: value})
+
 
 def test_default_grid_shape_and_range():
     g = default_grid()
@@ -92,6 +99,21 @@ def test_reduce_final_interpolates_selected_pairs(rng):
     rom = greedy.reduce_final(sys, res.V, res.W)
     report = projection.verify_hermite(sys, rom, res.pairs)
     assert max(r["rel_err"] for r in report) <= 1e-7
+
+
+def test_reduce_final_falls_back_to_one_sided(rng):
+    """Where W^T E V is singular, reduce_final warns and returns the W := V ROM."""
+    sys = random_qb(8, rng)  # E = I
+    V, W = np.eye(8)[:, :3], np.eye(8)[:, 3:6]  # W^T E V = 0
+    with pytest.raises(projection.SingularReductionError):
+        projection.reduce(sys, V, W)
+    with pytest.warns(UserWarning, match="falling back"):
+        rom = greedy.reduce_final(sys, V, W)
+    one_sided = projection.reduce(sys, V, V)
+    assert np.array_equal(rom.W, V)
+    for name in ("Er", "Ar", "Nr", "Br", "Cr"):
+        assert np.array_equal(getattr(rom, name), getattr(one_sided, name))
+    assert np.array_equal(rom.Qr.toarray(), one_sided.Qr.toarray())
 
 
 def test_interpolation_bases_are_the_greedy_bases(rng):
@@ -187,9 +209,8 @@ def test_true_error_failure_skips_the_point():
             raise np.linalg.LinAlgError("singular")
         return ev.true_error_1(s)
 
-    records = []
     with pytest.warns(UserWarning, match="skipping sample point"):
-        greedy._scan(ev.parts_1, true_fn, grid, set(), ev, records)
+        _, _, records = greedy._scan(ev.parts_1, true_fn, grid, set(), ev)
     assert [rec[0] for rec in records] == [complex(s) for s in grid if complex(s) != bad]
 
 
@@ -243,7 +264,7 @@ def test_trace_counts_solver_work(rng, monkeypatch):
     assert all(1 <= n < len(grid) for n in not_ruled_out)
 
 
-def _exhaustive_scan(parts_fn, true_fn, grid, used, ev, records=None):
+def _exhaustive_scan(parts_fn, true_fn, grid, used, ev):
     """Reference scan: the exact bound num / sigma_min at every candidate."""
     candidates = [s for s in grid if complex(s) not in used] or list(grid)
     vals = []
@@ -253,15 +274,13 @@ def _exhaustive_scan(parts_fn, true_fn, grid, used, ev, records=None):
             vals.append(num / ev.beta(z))
         except np.linalg.LinAlgError:
             vals.append(np.nan)
-    i, best = greedy._argmax_scan(vals, candidates)
-    true_max = 0.0
+    i, best = greedy._argmax_scan(vals)
+    records = []
     if true_fn is not None:
         for s, v in zip(candidates, vals):
             if np.isfinite(v):
-                t = true_fn(s)
-                true_max = max(true_max, t)
-                records.append((complex(s), v, t))
-    return complex(candidates[i]), best, true_max
+                records.append((complex(s), v, true_fn(s)))
+    return complex(candidates[i]), best, records
 
 
 _LAZY_SCAN_CASES = {
