@@ -18,6 +18,7 @@ from pathlib import Path
 import click
 import numpy as np
 import scipy
+import scipy.linalg as sla
 
 from . import __version__, benchmarks, error_bound, greedy, irka, projection, sim, transfer
 from .qb_model import InputSignal, load_system, save_system
@@ -106,10 +107,29 @@ def _grid_from_config(section):
     return greedy.default_grid(lo, hi, num, imag)
 
 
-def _write_run_manifest(outdir, config_path):
+def _system_sha256(system):
+    """SHA-256 over the bytes of E, A, N, B, C, x0 and Q's CSR arrays."""
+    h = hashlib.sha256()
+    Q = system.Q
+    for M in (system.E, system.A, system.N, system.B, system.C, system.x0,
+              Q.data, Q.indices, Q.indptr):
+        h.update(np.ascontiguousarray(M).tobytes())
+    return h.hexdigest()
+
+
+def _max_real_eig(rom):
+    """Largest real part over the finite eigenvalues of the pencil (Ar, Er)."""
+    ev = sla.eigvals(rom.Ar, rom.Er)
+    ev = ev[np.isfinite(ev)]
+    return float(np.max(ev.real)) if ev.size else None
+
+
+def _write_run_manifest(outdir, config_path, system, rom):
     text = Path(config_path).read_text() if config_path else ""
     (Path(outdir) / "run_manifest.json").write_text(json.dumps({
         "config_hash": hashlib.sha256(text.encode()).hexdigest(),
+        "system_sha256": _system_sha256(system),
+        "rom_max_real_eig": _max_real_eig(rom),
         "qbmor_version": __version__,
         "python_version": platform.python_version(),
         "numpy_version": np.__version__,
@@ -150,7 +170,7 @@ def reduce_greedy(sysdir, config_path, out, one_sided):
         _save_rom(rom, system, outdir)
     except (np.linalg.LinAlgError, sim.SimulationError) as exc:
         _fail(EXIT_NUMERICAL, exc)
-    _write_run_manifest(outdir, config_path)
+    _write_run_manifest(outdir, config_path, system, rom)
     last = result.trace[-1]
     click.echo(f"greedy: {len(result.trace)} iterations, final delta {last.delta:.4e}, "
                f"rom size {rom.r}")
@@ -197,7 +217,7 @@ def reduce_irka(sysdir, config_path, out, one_sided):
         _save_rom(rom, system, outdir)
     except (np.linalg.LinAlgError, sim.SimulationError) as exc:
         _fail(EXIT_NUMERICAL, exc)
-    _write_run_manifest(outdir, config_path)
+    _write_run_manifest(outdir, config_path, system, rom)
     click.echo(f"irka: {len(points)} points, rom size {rom.r}")
 
 

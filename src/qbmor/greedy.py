@@ -44,6 +44,8 @@ def default_grid(lo=1e0, hi=1e4, num=50, imag=False):
     there even when the true error is tiny.  Pass lo explicitly to scan
     lower frequencies anyway.
     """
+    if not all(np.isfinite(b) and b > 0 for b in (lo, hi)):
+        raise ValueError(f"grid bounds must be finite and positive, got lo={lo!r}, hi={hi!r}")
     pts = np.logspace(np.log10(lo), np.log10(hi), num).astype(complex)
     if imag:
         pts = np.concatenate([pts, 1j * pts])

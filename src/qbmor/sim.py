@@ -1,10 +1,14 @@
 """Time integration of full and reduced QB systems plus output comparison.
 
+Each run evaluates Q in the form its fill calls for: a dense array when at
+least half of its n^3 entries are stored (a projected ROM's tensor generically
+has all of them), so Q(x kron x) is one GEMV, and the sparse CSR Q otherwise.
 Implicit Euler solves the per-step nonlinear equation by Newton iteration
 with the analytic Jacobian E/dt - A - N u - 2 Q(x kron .).  The quadratic
-part comes from Q reshaped to n^2 x n once per run, so each Newton
-iteration costs one sparse matvec for it.  RK4 integrates the explicit
-vector field E^{-1}(...) and therefore requires invertible E.
+part comes from that Q reshaped to n^2 x n once per run, so each Newton
+iteration costs one matvec for it.  RK4 integrates the explicit vector
+field E^{-1}(...) and therefore requires invertible E; it factors E once
+and solves every stage with LAPACK getrs on those factors.
 """
 
 from __future__ import annotations
@@ -27,6 +31,8 @@ __all__ = [
 
 NEWTON_TOL = 1e-10
 NEWTON_MAX_STEPS = 20
+#: stored fraction of Q's n^3 entries from which a run evaluates Q densely
+DENSE_Q_FILL = 0.5
 
 
 class SimulationError(RuntimeError):
@@ -44,10 +50,17 @@ class Trajectory:
         self.outputs = np.asarray(self.outputs, dtype=float)
 
 
-def _jacobian_operator(Q):
-    """Q reshaped to n^2 x n: row i*n + j holds T(i, j, :) = T(i, :, j) for symmetrized Q."""
+def _run_quadratic(Q):
+    """Q as a run evaluates it: dense from DENSE_Q_FILL of n^3 entries stored, else CSR."""
     n = Q.shape[0]
-    return sp.csr_matrix(Q.reshape(n * n, n))
+    return Q.toarray() if Q.nnz >= DENSE_Q_FILL * n**3 else Q
+
+
+def _jacobian_operator(Q):
+    """Q reshaped to n^2 x n, a view if Q is dense: row i*n + j holds T(i, j, :) = T(i, :, j)."""
+    n = Q.shape[0]
+    Qj = Q.reshape(n * n, n)
+    return Qj if isinstance(Q, np.ndarray) else sp.csr_matrix(Qj)
 
 
 def _quadratic_jacobian(Qj, x):
@@ -56,17 +69,18 @@ def _quadratic_jacobian(Qj, x):
     return 2.0 * (Qj @ x).reshape(n, n)
 
 
-def _qb_rhs(sys, x, u):
-    return sys.A @ x + (sys.N @ x) * u + apply_quadratic(sys.Q, x, x) + sys.B * u
+def _qb_rhs(sys, Q, x, u):
+    return sys.A @ x + (sys.N @ x) * u + apply_quadratic(Q, x, x) + sys.B * u
 
 
 def simulate_qb(sys, u, t_end, dt, scheme="implicit_euler",
                 x0=None, divergence_limit=1e6):
     """Integrate a QB system; returns the output trajectory y = C x.
 
-    The quadratic term is evaluated through the sparse Q without ever
-    materializing x kron x as a matrix.  If |y| exceeds divergence_limit
-    the run is truncated and flagged in the trajectory metadata.
+    The quadratic term is evaluated through the run's Q (see
+    :func:`_run_quadratic`) without ever materializing x kron x as a
+    matrix.  If |y| exceeds divergence_limit the run is truncated and
+    flagged in the trajectory metadata.
     """
     if scheme not in ("implicit_euler", "rk4"):
         raise ValueError(f"unknown scheme {scheme!r}")
@@ -82,18 +96,22 @@ def simulate_qb(sys, u, t_end, dt, scheme="implicit_euler",
     ys = np.empty(nsteps + 1)
     ys[0] = sys.C @ x
     diverged = False
+    Q = _run_quadratic(sys.Q)
 
     if scheme == "rk4":
         # lu_factor only warns on an exactly singular matrix, so check first
         cond = np.linalg.cond(sys.E)
         if not np.isfinite(cond) or cond > 1e14:
             raise SimulationError("rk4 requires invertible E")
-        elu = sla.lu_factor(sys.E)
+        lu, piv = sla.lu_factor(sys.E)
+        getrs, = sla.get_lapack_funcs(("getrs",), (lu,))
 
         def f(t, x):
-            return sla.lu_solve(elu, _qb_rhs(sys, x, float(u(t))))
+            # the routine lu_solve calls, without its per-call wrapper and
+            # finite check; the divergence check below catches non-finite states
+            return getrs(lu, piv, _qb_rhs(sys, Q, x, float(u(t))), overwrite_b=True)[0]
     else:
-        ie = _ImplicitEuler(sys, dt)
+        ie = _ImplicitEuler(sys, Q, dt)
 
     for k in range(nsteps):
         if scheme == "rk4":
@@ -123,11 +141,11 @@ def _rk4_step(f, t, x, dt):
 class _ImplicitEuler:
     """Implicit Euler steps by Newton iteration; the run's invariants are built once."""
 
-    def __init__(self, sys, dt):
-        self.sys, self.dt = sys, dt
+    def __init__(self, sys, Q, dt):
+        self.sys, self.Q, self.dt = sys, Q, dt
         self.G = sys.E / dt - sys.A
         self.b_norm = np.linalg.norm(sys.B)
-        self.Qj = _jacobian_operator(sys.Q)
+        self.Qj = _jacobian_operator(Q)
 
     def step(self, x, u_next, step_index):
         sys, dt = self.sys, self.dt
@@ -135,7 +153,7 @@ class _ImplicitEuler:
         J_lin = self.G - sys.N * u_next
         x_new = x.copy()
         for _ in range(NEWTON_MAX_STEPS):
-            F = sys.E @ (x_new - x) / dt - _qb_rhs(sys, x_new, u_next)
+            F = sys.E @ (x_new - x) / dt - _qb_rhs(sys, self.Q, x_new, u_next)
             if np.linalg.norm(F) <= NEWTON_TOL * scale:
                 return x_new
             J = J_lin - _quadratic_jacobian(self.Qj, x_new)

@@ -1,5 +1,6 @@
 """End-to-end CLI tests through click's runner."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -9,11 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy
+import scipy.linalg as sla
 from click.testing import CliRunner
 
 import qbmor
 from qbmor import load_system
-from qbmor.cli import main
+from qbmor.cli import _system_sha256, main
 from qbmor.greedy import read_trace
 
 
@@ -87,8 +89,6 @@ class TestReduceGreedy:
                                    "--config", str(cfg), "--out", str(tmp_path / "r")])
         assert res.exit_code == 2
 
-    # grid_lo = -1 reaches GreedyConfig as NaN grid points, after numpy's log10 warning
-    @pytest.mark.filterwarnings("ignore:invalid value encountered in log10:RuntimeWarning")
     @pytest.mark.parametrize("key,value", [("sigma10_re", "nan"), ("sigma10_re", "inf"),
                                            ("sigma20_im", "nan"), ("grid_lo", "nan"),
                                            ("grid_lo", "-1")])
@@ -129,6 +129,7 @@ class TestRunManifest:
         irka_cfg = tmp_path / "irka.ini"
         irka_cfg.write_text("[irka]\nr = 3\ntol = 1e-3\nmax_iters = 50\n")
         runs = {"greedy": _greedy_config(tmp_path), "irka": irka_cfg}
+        system = load_system(burgers_dir)
         for method, cfg in runs.items():
             out = tmp_path / f"{method}_run"
             res = runner.invoke(main, ["reduce", method, "--system", str(burgers_dir),
@@ -147,6 +148,17 @@ class TestRunManifest:
                 "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
             for key, value in manifest["thread_env"].items():
                 assert value == os.environ.get(key)
+            # the same system, loaded again, gives the same hash in both runs
+            assert manifest["system_sha256"] == _system_sha256(system)
+            rom = load_system(out / "rom")
+            expected_eig = np.max(sla.eigvals(rom.A, rom.E).real)
+            assert manifest["rom_max_real_eig"] == pytest.approx(expected_eig, rel=1e-12)
+        A = system.A.copy()
+        A[3, 4] += 1e-12
+        Q = system.Q.copy()
+        Q.data[0] *= 2.0
+        for perturbed in (dataclasses.replace(system, A=A), dataclasses.replace(system, Q=Q)):
+            assert _system_sha256(perturbed) != _system_sha256(system)
 
 
 class TestFrequencyDomain:

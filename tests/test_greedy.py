@@ -4,6 +4,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +44,14 @@ class TestConfigValidation:
         value = np.append(default_grid(0.1, 100, 20), bad) if field in ("S1", "S2") else bad
         with pytest.raises(ValueError, match="finite"):
             _config(**{field: value})
+
+
+@pytest.mark.parametrize("lo,hi", [(-1, 1e4), (0, 1e4), (np.nan, 1e4), (1.0, np.inf)])
+def test_default_grid_rejects_bad_bounds_before_log10(lo, hi):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's log10 warning would surface here
+        with pytest.raises(ValueError, match="finite and positive"):
+            default_grid(lo, hi)
 
 
 def test_default_grid_shape_and_range():

@@ -2,14 +2,19 @@
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 
-from qbmor import InputSignal, QBSystem
+from qbmor import InputSignal, QBSystem, benchmarks, projection, sim
+from qbmor.qb_model import apply_quadratic
 from qbmor.sim import (
+    NEWTON_MAX_STEPS,
+    NEWTON_TOL,
     SimulationError,
     Trajectory,
     _jacobian_operator,
     _quadratic_jacobian,
+    _run_quadratic,
     compare_outputs,
     integrate_rk4,
     simulate_qb,
@@ -122,6 +127,93 @@ class TestQuadraticJacobian:
         dense = 2 * sys.Q.toarray() @ np.kron(x[:, None], np.eye(n))
         np.testing.assert_allclose(J, dense, rtol=1e-12, atol=0)
         assert np.array_equal(J, _scatter_jacobian(sys.Q, x))
+
+    def test_fully_populated_q_as_dense_view(self):
+        sys = random_qb(6, np.random.default_rng(5), q_scale=1.0, density=1.0)
+        n = sys.n
+        Q = _run_quadratic(sys.Q)
+        Qj = _jacobian_operator(Q)
+        assert isinstance(Qj, np.ndarray) and np.shares_memory(Qj, Q)
+        x = np.random.default_rng(n).standard_normal(n)
+        dense = 2 * sys.Q.toarray() @ np.kron(x[:, None], np.eye(n))
+        np.testing.assert_allclose(_quadratic_jacobian(Qj, x), dense, rtol=1e-12, atol=0)
+
+
+def _sparse_system_nonsymmetric_mass(n=12, seed=3):
+    """Sparse-Q system whose E is not symmetric, so a transposed solve shows."""
+    rng = np.random.default_rng(seed)
+    base = random_qb(n, rng, density=0.02)
+    M = rng.standard_normal((n, n))
+    E = np.eye(n) + 0.2 * M / np.linalg.norm(M, 2)
+    return QBSystem.from_operators(E, base.A, base.N, base.Q, base.B, base.C,
+                                   x0=0.1 * rng.standard_normal(n))
+
+
+def _projected_rom(full, r=5, seed=4):
+    rng = np.random.default_rng(seed)
+    V = np.linalg.qr(rng.standard_normal((full.n, r)))[0]
+    W = np.linalg.qr(rng.standard_normal((full.n, r)))[0]
+    return projection.reduce(full, V, W).as_system(x0=V.T @ full.x0)
+
+
+def _csr_reference(sys, u, t_end, dt, scheme):
+    """Outputs of a step loop on the CSR Q, with lu_solve and the scatter Jacobian."""
+    def rhs(x, v):
+        return sys.A @ x + (sys.N @ x) * v + apply_quadratic(sys.Q, x, x) + sys.B * v
+
+    if scheme == "rk4":
+        elu = sla.lu_factor(sys.E)
+        _, xs = integrate_rk4(lambda t, x: sla.lu_solve(elu, rhs(x, float(u(t)))),
+                              sys.x0, t_end, dt)
+        return np.array([sys.C @ x for x in xs])
+    times = np.arange(int(round(t_end / dt)) + 1) * dt
+    x, ys = sys.x0.copy(), [sys.C @ sys.x0]
+    for t in times[1:]:
+        v = float(u(t))
+        scale = max(np.linalg.norm(sys.B) * abs(v), np.linalg.norm(x) / dt, 1.0)
+        x_new = x.copy()
+        for _ in range(NEWTON_MAX_STEPS):
+            F = sys.E @ (x_new - x) / dt - rhs(x_new, v)
+            if np.linalg.norm(F) <= NEWTON_TOL * scale:
+                break
+            J = sys.E / dt - sys.A - sys.N * v - _scatter_jacobian(sys.Q, x_new)
+            x_new = x_new - np.linalg.solve(J, F)
+        x = x_new
+        ys.append(sys.C @ x)
+    return np.array(ys)
+
+
+class TestRunQuadratic:
+    def test_dense_for_projected_rom_csr_for_full_models(self):
+        for full in (benchmarks.rc_ladder(5), benchmarks.burgers(20, 0.05)):
+            assert sp.issparse(_run_quadratic(full.Q))
+            Qr = _projected_rom(full).Q
+            dense = _run_quadratic(Qr)
+            assert isinstance(dense, np.ndarray)
+            assert np.array_equal(dense, Qr.toarray())
+
+    @pytest.mark.parametrize("scheme", ["implicit_euler", "rk4"])
+    def test_rom_matches_csr_step_loop(self, scheme, monkeypatch):
+        rom = _projected_rom(_sparse_system_nonsymmetric_mass())
+        seen = []
+
+        def spy(Q, x, y):
+            seen.append(type(Q))
+            return apply_quadratic(Q, x, y)
+
+        monkeypatch.setattr(sim, "apply_quadratic", spy)
+        u = InputSignal("exp_decay")
+        traj = simulate_qb(rom, u, 0.5, 1e-2, scheme=scheme)
+        assert set(seen) == {np.ndarray}
+        ref = _csr_reference(rom, u, 0.5, 1e-2, scheme)
+        assert np.max(np.abs(traj.outputs - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_full_model_rk4_bit_identical_to_lu_solve_loop(self):
+        sys = _sparse_system_nonsymmetric_mass()
+        assert sp.issparse(_run_quadratic(sys.Q))
+        u = InputSignal("exp_decay")
+        traj = simulate_qb(sys, u, 0.5, 1e-2, scheme="rk4")
+        assert np.array_equal(traj.outputs, _csr_reference(sys, u, 0.5, 1e-2, "rk4"))
 
 
 class TestSchemesAgree:
