@@ -10,7 +10,9 @@ convention T(i,j,k) <-> Q[i, j*n + k]; Q is symmetrized on construction.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -34,10 +36,8 @@ class BenchmarkSpec:
     kind: str
     params: dict = field(default_factory=dict)
 
-    _KINDS = ("rc_ladder", "burgers", "fitzhugh_nagumo")
-
     def __post_init__(self):
-        if self.kind not in self._KINDS:
+        if self.kind not in _KINDS:
             raise ValueError(f"unknown benchmark kind {self.kind!r}")
 
 
@@ -133,7 +133,7 @@ def _rc_original_rhs(ell, u):
 
 # -- viscous Burgers -------------------------------------------------------
 
-def burgers(n, nu):
+def burgers(n, nu=0.01):
     """Semidiscrete 1D Burgers flow on (0,1) with boundary control; size n.
 
     Central differences on n interior nodes, h = 1/(n+1); the left boundary
@@ -275,41 +275,45 @@ def _fhn_original_rhs(nbar, eps, h, gamma, g, u):
 
 # -- shared entry points ---------------------------------------------------
 
+class _Kind(NamedTuple):
+    build: Callable   # builder of the lifted QBSystem; its signature holds the defaults
+    oracle: Callable  # (u, **params) -> (rhs f(t, x), x(0), output state or None for the mean)
+    input: str        # InputSignal kind of the transient plots
+
+
+_KINDS = {
+    "rc_ladder": _Kind(
+        rc_ladder, lambda u, ell: (_rc_original_rhs(ell, u), np.zeros(ell), 0), "exp_decay"),
+    "burgers": _Kind(
+        burgers, lambda u, n, nu: (_burgers_original_rhs(n, nu, u), np.zeros(n), None),
+        "cosine_pi"),
+    "fitzhugh_nagumo": _Kind(
+        fitzhugh_nagumo,
+        lambda u, nbar, **p: (_fhn_original_rhs(nbar, u=u, **p), np.zeros(2 * nbar), 0),
+        "cubic_pulse"),
+}
+
+
+def _params(spec):
+    """The spec's parameters with the builder's defaults filled in."""
+    args = inspect.signature(_KINDS[spec.kind].build).bind(**spec.params)
+    args.apply_defaults()
+    return args.arguments
+
+
 def build(spec: BenchmarkSpec) -> QBSystem:
     """Construct the lifted QB system for a benchmark spec."""
-    p = spec.params
-    if spec.kind == "rc_ladder":
-        return rc_ladder(p["ell"])
-    if spec.kind == "burgers":
-        return burgers(p["n"], p.get("nu", 0.01))
-    return fitzhugh_nagumo(p["nbar"], p.get("eps", 0.015), p.get("h", 0.5),
-                           p.get("gamma", 0.05), p.get("g", 0.05))
+    return _KINDS[spec.kind].build(**_params(spec))
 
 
 def benchmark_input(kind) -> InputSignal:
     """The input signal used for each benchmark's transient plots."""
-    return {
-        "rc_ladder": InputSignal("exp_decay"),
-        "burgers": InputSignal("cosine_pi"),
-        "fitzhugh_nagumo": InputSignal("cubic_pulse"),
-    }[kind]
+    return InputSignal(_KINDS[kind].input)
 
 
 def simulate_original(spec, u, t_end, dt):
     """Integrate the unlifted nonlinear benchmark ODEs by RK4 (lifting oracle)."""
-    p = spec.params
-    if spec.kind == "rc_ladder":
-        ell = p["ell"]
-        f, x0, pick = _rc_original_rhs(ell, u), np.zeros(ell), 0
-    elif spec.kind == "burgers":
-        n = p["n"]
-        f, x0 = _burgers_original_rhs(n, p.get("nu", 0.01), u), np.zeros(n)
-        pick = None
-    else:
-        nbar = p["nbar"]
-        f = _fhn_original_rhs(nbar, p.get("eps", 0.015), p.get("h", 0.5),
-                              p.get("gamma", 0.05), p.get("g", 0.05), u)
-        x0, pick = np.zeros(2 * nbar), 0
+    f, x0, pick = _KINDS[spec.kind].oracle(u, **_params(spec))
     times, xs = integrate_rk4(f, x0, t_end, dt)
     ys = xs.mean(axis=1) if pick is None else xs[:, pick]
     return Trajectory(times=times, outputs=ys,

@@ -1,24 +1,28 @@
 """Command-line driver: benchmark construction, reduction, simulation, tables.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure,
-4 non-convergence.  Every run directory receives a manifest with the
-config hash so runs are reproducible from their artifacts.
+Exit codes: 0 success, 2 configuration error (also an unreadable system or
+trace), 3 numerical failure, 4 non-convergence.  Every run directory receives
+a manifest with the config hash so runs are reproducible from their artifacts.
 """
 
 from __future__ import annotations
 
 import configparser
+import csv
+import functools
 import hashlib
 import json
 import os
 import platform
 import sys as _sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import click
 import numpy as np
 import scipy
 import scipy.linalg as sla
+from scipy.io import mmwrite
 
 from . import __version__, benchmarks, error_bound, greedy, irka, projection, sim, transfer
 from .qb_model import InputSignal, load_system, save_system
@@ -26,6 +30,9 @@ from .qb_model import InputSignal, load_system, save_system
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_NONCONVERGED = 4
+
+# exit EXIT_NUMERICAL; LinAlgError is a ValueError, so map these inside a ValueError mapping
+_NUMERICAL = (np.linalg.LinAlgError, sim.SimulationError)
 
 # BLAS reads these when numpy is first imported; later changes have no effect
 _THREAD_ENV = {k: os.environ.get(k)
@@ -35,6 +42,32 @@ _THREAD_ENV = {k: os.environ.get(k)
 def _fail(code, message):
     click.echo(f"error: {message}", err=True)
     _sys.exit(code)
+
+
+@contextmanager
+def _exit_on(errors, code):
+    """Print ``error: <message>`` and exit with code on any of the given exceptions."""
+    try:
+        yield
+    except errors as exc:
+        _fail(code, exc)
+
+
+def _load(path):
+    """The system saved at path; exit 2 if it cannot be read or is inconsistent."""
+    with _exit_on((ValueError, OSError), EXIT_CONFIG):
+        return load_system(path)
+
+
+def _read_trace(path):
+    """The rows of a trace CSV; exit 2 if it cannot be read."""
+    with _exit_on((ValueError, OSError), EXIT_CONFIG):
+        return greedy.read_trace(path)
+
+
+def _options(*opts):
+    """Decorator applying click options in the order listed."""
+    return lambda f: functools.reduce(lambda g, opt: opt(g), reversed(opts), f)
 
 
 def _fmt(x):
@@ -54,35 +87,31 @@ def main():
 
 # -- bench ----------------------------------------------------------------
 
+# short name -> (benchmark kind, the options that are its parameters)
+_BENCH_KINDS = {"rc": ("rc_ladder", ("ell",)), "burgers": ("burgers", ("n", "nu")),
+                "fhn": ("fitzhugh_nagumo", ("nbar",))}
+
+
 @main.group()
 def bench():
     """Benchmark system construction."""
 
 
 @bench.command("build")
-@click.option("--kind", type=click.Choice(["rc", "burgers", "fhn"]), required=True)
+@click.option("--kind", type=click.Choice(list(_BENCH_KINDS)), required=True)
 @click.option("--l", "ell", type=int, default=50, help="RC ladder nodes")
 @click.option("--n", type=int, default=100, help="Burgers grid size")
-@click.option("--nu", type=float, default=0.01, help="Burgers viscosity")
+@click.option("--nu", type=float, default=None, help="Burgers viscosity")
 @click.option("--nbar", type=int, default=100, help="FHN grid size")
 @click.option("--out", type=click.Path(), required=True)
-def bench_build(kind, ell, n, nu, nbar, out):
+def bench_build(kind, out, **params):
     """Build a benchmark system directory."""
-    spec = _bench_spec(kind, ell, n, nu, nbar)
-    try:
+    name, keys = _BENCH_KINDS[kind]
+    spec = benchmarks.BenchmarkSpec(name, {k: params[k] for k in keys if params[k] is not None})
+    with _exit_on(ValueError, EXIT_CONFIG):
         system = benchmarks.build(spec)
-    except ValueError as exc:
-        _fail(EXIT_CONFIG, exc)
     save_system(system, out)
     click.echo(f"wrote {system.name} (n={system.n}) to {out}")
-
-
-def _bench_spec(kind, ell, n, nu, nbar):
-    if kind == "rc":
-        return benchmarks.BenchmarkSpec("rc_ladder", {"ell": ell})
-    if kind == "burgers":
-        return benchmarks.BenchmarkSpec("burgers", {"n": n, "nu": nu})
-    return benchmarks.BenchmarkSpec("fitzhugh_nagumo", {"nbar": nbar})
 
 
 # -- reduce ---------------------------------------------------------------
@@ -92,19 +121,48 @@ def reduce_group():
     """Reduced-order model construction."""
 
 
-def _read_config(path):
+_reduce_options = _options(
+    click.option("--system", "sysdir", type=click.Path(exists=True), required=True),
+    click.option("--config", "config_path", type=click.Path(exists=True), required=True),
+    click.option("--out", type=click.Path(), required=True),
+    click.option("--one-sided", is_flag=True, help="use W := V for the final projection"),
+)
+
+
+def _start_reduction(sysdir, config_path, out, section, make_config):
+    """Load the system, make_config(config section) (exit 2 on a bad value) and out/."""
+    system = _load(sysdir)
     cp = configparser.ConfigParser()
-    if not cp.read(path):
-        _fail(EXIT_CONFIG, f"cannot read config file {path}")
-    return cp
+    if not cp.read(config_path):
+        _fail(EXIT_CONFIG, f"cannot read config file {config_path}")
+    sec = cp[section] if cp.has_section(section) else cp["DEFAULT"]
+    with _exit_on(ValueError, EXIT_CONFIG):
+        cfg = make_config(sec)
+    outdir = Path(out)
+    outdir.mkdir(parents=True, exist_ok=True)
+    return system, cfg, outdir
 
 
-def _grid_from_config(section):
-    lo = section.getfloat("grid_lo", 1e0)
-    hi = section.getfloat("grid_hi", 1e4)
-    num = section.getint("grid_num", 50)
-    imag = section.getboolean("grid_imag", False)
-    return greedy.default_grid(lo, hi, num, imag)
+def _grid_from_config(sec):
+    return greedy.default_grid(sec.getfloat("grid_lo", 1e0), sec.getfloat("grid_hi", 1e4),
+                               sec.getint("grid_num", 50), sec.getboolean("grid_imag", False))
+
+
+def _greedy_config(sec):
+    return greedy.GreedyConfig(
+        sigma10=complex(sec.getfloat("sigma10_re", 1.0), sec.getfloat("sigma10_im", 0.0)),
+        sigma20=complex(sec.getfloat("sigma20_re", 1.0), sec.getfloat("sigma20_im", 0.0)),
+        S1=_grid_from_config(sec),
+        S2=_grid_from_config(sec),
+        eps_tol=sec.getfloat("eps_tol", 1e-4),
+        max_iters=sec.getint("max_iters", 30),
+        validate_true_error=sec.getboolean("validate_true_error", True),
+    )
+
+
+def _irka_config(sec):
+    return irka.IrkaConfig(r=sec.getint("r", 6), tol=sec.getfloat("tol", 1e-4),
+                           max_iters=sec.getint("max_iters", 100))
 
 
 def _system_sha256(system):
@@ -124,10 +182,13 @@ def _max_real_eig(rom):
     return float(np.max(ev.real)) if ev.size else None
 
 
-def _write_run_manifest(outdir, config_path, system, rom):
-    text = Path(config_path).read_text() if config_path else ""
-    (Path(outdir) / "run_manifest.json").write_text(json.dumps({
-        "config_hash": hashlib.sha256(text.encode()).hexdigest(),
+def _write_artifacts(outdir, config_path, system, rom):
+    """Write the ROM, its bases V.mtx and W.mtx, and run_manifest.json."""
+    save_system(rom.as_system(x0=rom.V.T @ system.x0), outdir / "rom")
+    mmwrite(outdir / "V.mtx", np.asarray(rom.V), precision=17)
+    mmwrite(outdir / "W.mtx", np.asarray(rom.W), precision=17)
+    (outdir / "run_manifest.json").write_text(json.dumps({
+        "config_hash": hashlib.sha256(Path(config_path).read_text().encode()).hexdigest(),
         "system_sha256": _system_sha256(system),
         "rom_max_real_eig": _max_real_eig(rom),
         "qbmor_version": __version__,
@@ -139,38 +200,16 @@ def _write_run_manifest(outdir, config_path, system, rom):
 
 
 @reduce_group.command("greedy")
-@click.option("--system", "sysdir", type=click.Path(exists=True), required=True)
-@click.option("--config", "config_path", type=click.Path(exists=True), required=True)
-@click.option("--out", type=click.Path(), required=True)
-@click.option("--one-sided", is_flag=True, help="use W := V for the final projection")
+@_reduce_options
 def reduce_greedy(sysdir, config_path, out, one_sided):
     """Run the greedy point selection and write the ROM and trace."""
-    system = load_system(sysdir)
-    cp = _read_config(config_path)
-    sec = cp["greedy"] if cp.has_section("greedy") else cp["DEFAULT"]
-    try:
-        cfg = greedy.GreedyConfig(
-            sigma10=complex(sec.getfloat("sigma10_re", 1.0), sec.getfloat("sigma10_im", 0.0)),
-            sigma20=complex(sec.getfloat("sigma20_re", 1.0), sec.getfloat("sigma20_im", 0.0)),
-            S1=_grid_from_config(sec),
-            S2=_grid_from_config(sec),
-            eps_tol=sec.getfloat("eps_tol", 1e-4),
-            max_iters=sec.getint("max_iters", 30),
-            validate_true_error=sec.getboolean("validate_true_error", True),
-        )
-    except ValueError as exc:
-        _fail(EXIT_CONFIG, exc)
-    outdir = Path(out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    try:
+    system, cfg, outdir = _start_reduction(sysdir, config_path, out, "greedy", _greedy_config)
+    with _exit_on(_NUMERICAL, EXIT_NUMERICAL):
         result = greedy.run_greedy(system, cfg)
         greedy.write_trace(result.trace, outdir / "trace.csv")
         rom = greedy.reduce_final(
             system, result.V, result.V if one_sided else result.W)
-        _save_rom(rom, system, outdir)
-    except (np.linalg.LinAlgError, sim.SimulationError) as exc:
-        _fail(EXIT_NUMERICAL, exc)
-    _write_run_manifest(outdir, config_path, system, rom)
+        _write_artifacts(outdir, config_path, system, rom)
     last = result.trace[-1]
     click.echo(f"greedy: {len(result.trace)} iterations, final delta {last.delta:.4e}, "
                f"rom size {rom.r}")
@@ -179,45 +218,19 @@ def reduce_greedy(sysdir, config_path, out, one_sided):
               f"tolerance {cfg.eps_tol} not reached (partial artifacts in {out})")
 
 
-def _save_rom(rom, system, outdir):
-    romdir = Path(outdir) / "rom"
-    save_system(rom.as_system(x0=rom.V.T @ system.x0), romdir)
-    from scipy.io import mmwrite
-    mmwrite(Path(outdir) / "V.mtx", np.asarray(rom.V), precision=17)
-    mmwrite(Path(outdir) / "W.mtx", np.asarray(rom.W), precision=17)
-
-
 @reduce_group.command("irka")
-@click.option("--system", "sysdir", type=click.Path(exists=True), required=True)
-@click.option("--config", "config_path", type=click.Path(exists=True), required=True)
-@click.option("--out", type=click.Path(), required=True)
-@click.option("--one-sided", is_flag=True)
+@_reduce_options
 def reduce_irka(sysdir, config_path, out, one_sided):
     """IRKA points on the linear part, then an equal-point interpolation ROM."""
-    system = load_system(sysdir)
-    cp = _read_config(config_path)
-    sec = cp["irka"] if cp.has_section("irka") else cp["DEFAULT"]
-    try:
-        cfg = irka.IrkaConfig(
-            r=sec.getint("r", 6),
-            tol=sec.getfloat("tol", 1e-4),
-            max_iters=sec.getint("max_iters", 100),
-        )
-    except ValueError as exc:
-        _fail(EXIT_CONFIG, exc)
-    outdir = Path(out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    try:
+    system, cfg, outdir = _start_reduction(sysdir, config_path, out, "irka", _irka_config)
+    with _exit_on(_NUMERICAL, EXIT_NUMERICAL):
         points = irka.irka_linear(system, cfg)
         with open(outdir / "points.csv", "w") as fh:
             fh.write("re,im\n")
             for p in points:
                 fh.write(f"{_fmt(p.real)},{_fmt(p.imag)}\n")
         rom = irka.irka_rom(system, points, two_sided=not one_sided)
-        _save_rom(rom, system, outdir)
-    except (np.linalg.LinAlgError, sim.SimulationError) as exc:
-        _fail(EXIT_NUMERICAL, exc)
-    _write_run_manifest(outdir, config_path, system, rom)
+        _write_artifacts(outdir, config_path, system, rom)
     click.echo(f"irka: {len(points)} points, rom size {rom.r}")
 
 
@@ -236,11 +249,11 @@ def tf():
 @click.option("--s2-im", type=float, default=0.0)
 def tf_eval(sysdir, s1_re, s1_im, s2_re, s2_im):
     """Print H1(s1) or, given s2, H2(s1,s2) and both partial derivatives."""
-    system = load_system(sysdir)
+    system = _load(sysdir)
     s1 = complex(s1_re, s1_im)
     s2 = None if s2_re is None else complex(s2_re, s2_im)
     _require_finite(s1, s2)
-    try:
+    with _exit_on(_NUMERICAL, EXIT_NUMERICAL):
         if s2 is None:
             click.echo(f"H1({s1}) = {transfer.H1(system, s1)}")
         else:
@@ -248,8 +261,6 @@ def tf_eval(sysdir, s1_re, s1_im, s2_re, s2_im):
             click.echo(f"H2({s1},{s2}) = {transfer.H2(system, s1, s2, solver)}")
             click.echo(f"dH2/ds1 = {transfer.dH2(system, s1, s2, 1, solver)}")
             click.echo(f"dH2/ds2 = {transfer.dH2(system, s1, s2, 2, solver)}")
-    except np.linalg.LinAlgError as exc:
-        _fail(EXIT_NUMERICAL, exc)
 
 
 @main.group()
@@ -267,11 +278,11 @@ def bound():
 @click.option("--s2-im", type=float, default=0.0)
 def bound_eval(sysdir, trace_path, s1_re, s1_im, s2_re, s2_im):
     """Evaluate delta1/delta2 at a frequency pair for a recorded greedy run."""
-    system = load_system(sysdir)
-    rows = greedy.read_trace(trace_path)
+    system = _load(sysdir)
+    rows = _read_trace(trace_path)
     s1, s2 = complex(s1_re, s1_im), complex(s2_re, s2_im)
     _require_finite(s1, s2)
-    try:
+    with _exit_on(_NUMERICAL, EXIT_NUMERICAL):
         solver = transfer.PencilSolver(system)
         ev = error_bound.BoundEvaluator(system, solver)
         V1, W1, V2, W2 = projection.subsystem_bases(
@@ -279,8 +290,6 @@ def bound_eval(sysdir, trace_path, s1_re, s1_im, s2_re, s2_im):
         ev.set_bases_1(V1, W1)
         ev.set_bases_2(V2, W2)
         val = ev.bound(s1, s2)
-    except np.linalg.LinAlgError as exc:
-        _fail(EXIT_NUMERICAL, exc)
     click.echo(f"delta1({s1}) = {val.delta1:.6e}")
     click.echo(f"delta2({s1},{s2}) = {val.delta2:.6e}")
     click.echo(f"delta = {val.delta:.6e}")
@@ -295,24 +304,29 @@ _INPUTS = {
     "zero": InputSignal("zero"),
 }
 
+_simulation_options = _options(
+    click.option("--system", "sysdir", type=click.Path(exists=True), required=True),
+    click.option("--input", "input_kind", type=click.Choice(sorted(_INPUTS)), required=True),
+    click.option("--t-end", type=float, default=10.0),
+    click.option("--dt", type=float, default=1e-3),
+    click.option("--scheme", type=click.Choice(["implicit_euler", "rk4"]),
+                 default="implicit_euler"),
+    click.option("--out", type=click.Path(), required=True),
+)
+
+
+def _simulate(path, input_kind, t_end, dt, scheme):
+    """Load the system at path and integrate it; exit 2 on a bad time grid, 3 on failure."""
+    system = _load(path)
+    with _exit_on(ValueError, EXIT_CONFIG), _exit_on(_NUMERICAL, EXIT_NUMERICAL):
+        return sim.simulate_qb(system, _INPUTS[input_kind], t_end, dt, scheme)
+
 
 @main.command()
-@click.option("--system", "sysdir", type=click.Path(exists=True), required=True)
-@click.option("--input", "input_kind", type=click.Choice(sorted(_INPUTS)), required=True)
-@click.option("--t-end", type=float, default=10.0)
-@click.option("--dt", type=float, default=1e-3)
-@click.option("--scheme", type=click.Choice(["implicit_euler", "rk4"]),
-              default="implicit_euler")
-@click.option("--out", type=click.Path(), required=True)
+@_simulation_options
 def simulate(sysdir, input_kind, t_end, dt, scheme, out):
     """Integrate a system and write the (t, y) trajectory CSV."""
-    system = load_system(sysdir)
-    try:
-        traj = sim.simulate_qb(system, _INPUTS[input_kind], t_end, dt, scheme)
-    except (sim.SimulationError, np.linalg.LinAlgError) as exc:
-        _fail(EXIT_NUMERICAL, exc)
-    except ValueError as exc:  # invalid time grid (LinAlgError, a ValueError, is caught above)
-        _fail(EXIT_CONFIG, exc)
+    traj = _simulate(sysdir, input_kind, t_end, dt, scheme)
     with open(out, "w") as fh:
         fh.write("t,y\n")
         for t, y in zip(traj.times, traj.outputs):
@@ -323,29 +337,16 @@ def simulate(sysdir, input_kind, t_end, dt, scheme, out):
 
 
 @main.command()
-@click.option("--system", "sysdir", type=click.Path(exists=True), required=True)
+@_simulation_options
 @click.option("--rom", "romdirs", type=click.Path(exists=True), multiple=True,
               required=True)
-@click.option("--input", "input_kind", type=click.Choice(sorted(_INPUTS)), required=True)
-@click.option("--t-end", type=float, default=10.0)
-@click.option("--dt", type=float, default=1e-3)
-@click.option("--scheme", type=click.Choice(["implicit_euler", "rk4"]),
-              default="implicit_euler")
-@click.option("--out", type=click.Path(), required=True)
 def compare(sysdir, romdirs, input_kind, t_end, dt, scheme, out):
     """Simulate the full model and ROMs; write error columns for plotting."""
-    system = load_system(sysdir)
-    u = _INPUTS[input_kind]
-    try:
-        full = sim.simulate_qb(system, u, t_end, dt, scheme)
-        roms = []
-        for d in romdirs:
-            rsys = load_system(Path(d) / "rom" if (Path(d) / "rom").is_dir() else d)
-            roms.append((Path(d).name, sim.simulate_qb(rsys, u, t_end, dt, scheme)))
-    except (sim.SimulationError, np.linalg.LinAlgError) as exc:
-        _fail(EXIT_NUMERICAL, exc)
-    except ValueError as exc:
-        _fail(EXIT_CONFIG, exc)
+    run = (input_kind, t_end, dt, scheme)
+    full = _simulate(sysdir, *run)
+    roms = [(Path(d).name,
+             _simulate(Path(d) / "rom" if (Path(d) / "rom").is_dir() else d, *run))
+            for d in romdirs]
     names = [name for name, _ in roms]
     with open(out, "w") as fh:
         cols = ["t", "y_full"]
@@ -379,10 +380,7 @@ def table(trace_path, csv_out):
     The last two columns count each iteration's LU factorizations and
     sigma_min evaluations.
     """
-    try:
-        rows = greedy.read_trace(trace_path)
-    except ValueError as exc:
-        _fail(EXIT_CONFIG, exc)
+    rows = _read_trace(trace_path)
 
     def fmt_point(z):
         return f"{z.real:.4f}" + (f"{z.imag:+.4f}i" if z.imag else "")
@@ -390,22 +388,18 @@ def table(trace_path, csv_out):
     header = (f"{'S.No.':>5}  {'Interpolation points':>34}  {'Max. True Error':>16}  "
               f"{'Max. Est. Error':>16}  {'LUs':>5}  {'sigma_min':>9}")
     click.echo(header)
-    lines = []
+    records = [("iter", "points", "max_true_error", "max_est_error",
+                "factorizations", "sigma_min_evals")]
     for row in rows:
         pts = f"{fmt_point(row.sigma1)}, {fmt_point(row.sigma2)}"
         true_s = f"{row.true_error_max:.4e}" if row.true_error_max is not None else "-"
-        line = (f"{row.iter:>5}  {pts:>34}  {true_s:>16}  {row.delta:>16.4e}  "
-                f"{row.factorizations:>5}  {row.sigma_min_evals:>9}")
-        click.echo(line)
-        lines.append((row.iter, pts, true_s, f"{row.delta:.17g}", row.factorizations,
-                      row.sigma_min_evals))
+        click.echo(f"{row.iter:>5}  {pts:>34}  {true_s:>16}  {row.delta:>16.4e}  "
+                   f"{row.factorizations:>5}  {row.sigma_min_evals:>9}")
+        records.append((row.iter, pts, true_s, f"{row.delta:.17g}", row.factorizations,
+                        row.sigma_min_evals))
     if csv_out:
-        with open(csv_out, "w") as fh:
-            fh.write("iter,points,max_true_error,max_est_error,"
-                     "factorizations,sigma_min_evals\n")
-            for rec in lines:
-                fh.write(",".join(f'"{v}"' if isinstance(v, str) and "," in v else str(v)
-                                  for v in rec) + "\n")
+        with open(csv_out, "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(records)
 
 
 if __name__ == "__main__":

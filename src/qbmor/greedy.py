@@ -300,6 +300,10 @@ def read_trace(path):
     rows = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
+        missing = [c for c in _TRACE_COLUMNS[:-len(_COUNT_COLUMNS)]
+                   if reader.fieldnames and c not in reader.fieldnames]
+        if missing:
+            raise ValueError(f"trace file {Path(path)} lacks column(s) {', '.join(missing)}")
         for rec in reader:
             rows.append(TraceRow(
                 iter=int(rec["iter"]),

@@ -103,7 +103,6 @@ class QBSystem:
     B: np.ndarray
     C: np.ndarray
     x0: np.ndarray
-    q_symmetrized: bool = True
     name: str = ""
 
     @property
@@ -134,7 +133,7 @@ class QBSystem:
         if not any(np.isfinite(np.linalg.cond(s * E - A)) for s in _REGULARITY_PROBES):
             raise ValueError("pencil sE - A singular at all probe frequencies")
         Q = symmetrize_quadratic(Q)
-        return cls(E=E, A=A, N=N, Q=Q, B=B, C=C, x0=x0, q_symmetrized=True, name=name)
+        return cls(E=E, A=A, N=N, Q=Q, B=B, C=C, x0=x0, name=name)
 
     def mode2(self):
         return mode2_matricization(self.Q)
@@ -197,7 +196,6 @@ def save_system(sys, path):
     manifest = {
         "name": sys.name,
         "n": sys.n,
-        "q_symmetrized": sys.q_symmetrized,
         "notes": "",
     }
     (path / "manifest.json").write_text(json.dumps(manifest, indent=2))
@@ -226,8 +224,7 @@ def load_system(path):
     for key in ("E", "A", "N"):
         if mats[key].shape != (n, n):
             raise ValueError(f"{key} has shape {mats[key].shape}, expected {(n, n)}")
-    sys = QBSystem.from_operators(
+    return QBSystem.from_operators(
         mats["E"], mats["A"], mats["N"], sp.csr_matrix(mats["Q"]),
         mats["B"], mats["C"], x0=mats["x0"], name=manifest.get("name", ""),
     )
-    return sys

@@ -5,6 +5,9 @@ import hashlib
 import json
 import os
 import platform
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -274,3 +277,89 @@ class TestTable:
         # the first iteration factors and evaluates sigma_min at least once
         first = table_lines[1].split(",")
         assert int(first[-2]) >= 1 and int(first[-1]) >= 1
+
+
+_TRACE_HEADER = ("iter,sigma1_re,sigma1_im,sigma2_re,sigma2_im,"
+                 "delta1,delta2,delta,true_error,basis_V,basis_W")
+
+
+def _system_commands(tmp_path, good):
+    """Each command that reads a system, as a function of the directory it reads."""
+    trace = tmp_path / "trace.csv"
+    trace.write_text(_TRACE_HEADER + "\n1,2,0,2,0,0.5,0.25,0.75,,4,4\n")
+    irka_cfg = tmp_path / "irka.ini"
+    irka_cfg.write_text("[irka]\nr = 3\n")
+    run = ["--input", "cosine_pi", "--t-end", "0.1", "--dt", "1e-2",
+           "--out", str(tmp_path / "out.csv")]
+    return {
+        "simulate": lambda d: ["simulate", "--system", d] + run,
+        "compare --system": lambda d: ["compare", "--system", d, "--rom", good] + run,
+        "compare --rom": lambda d: ["compare", "--system", good, "--rom", d] + run,
+        "tf eval": lambda d: ["tf", "eval", "--system", d, "--s1-re", "1.0"],
+        "bound eval": lambda d: ["bound", "eval", "--system", d, "--trace", str(trace),
+                                 "--s1-re", "1.0", "--s2-re", "2.0"],
+        "reduce greedy": lambda d: ["reduce", "greedy", "--system", d, "--config",
+                                    str(_greedy_config(tmp_path)),
+                                    "--out", str(tmp_path / "run")],
+        "reduce irka": lambda d: ["reduce", "irka", "--system", d, "--config",
+                                  str(irka_cfg), "--out", str(tmp_path / "run")],
+    }
+
+
+@pytest.fixture
+def bad_system_dirs(tmp_path, burgers_dir):
+    """A saved system whose manifest disagrees with its matrices, and a directory
+    without a manifest."""
+    wrong_n = tmp_path / "wrong_n"
+    shutil.copytree(burgers_dir, wrong_n)
+    manifest = wrong_n / "manifest.json"
+    manifest.write_text(manifest.read_text().replace('"n": 20', '"n": 21'))
+    no_manifest = tmp_path / "no_manifest"
+    no_manifest.mkdir()
+    return {"wrong_n": wrong_n, "no_manifest": no_manifest}
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("bad", ["wrong_n", "no_manifest"])
+    @pytest.mark.parametrize("command", ["simulate", "compare --system", "compare --rom",
+                                         "tf eval", "bound eval", "reduce greedy",
+                                         "reduce irka"])
+    def test_bad_system_dir_exit_config(self, tmp_path, runner, burgers_dir,
+                                        bad_system_dirs, command, bad):
+        args = _system_commands(tmp_path, str(burgers_dir))[command](
+            str(bad_system_dirs[bad]))
+        res = runner.invoke(main, args)
+        assert res.exit_code == 2, res.output
+        assert type(res.exception) is SystemExit
+        assert "error: " in res.output
+        assert {"wrong_n": "n=21", "no_manifest": "manifest.json"}[bad] in res.output
+
+    def test_bad_system_dir_exit_config_without_asserts(self, tmp_path, burgers_dir,
+                                                        bad_system_dirs):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(src), os.environ.get("PYTHONPATH", "")]))
+        args = _system_commands(tmp_path, str(burgers_dir))["simulate"](
+            str(bad_system_dirs["wrong_n"]))
+        out = subprocess.run([sys.executable, "-O", "-m", "qbmor.cli"] + args,
+                             capture_output=True, text=True, env=env, timeout=300)
+        assert out.returncode == 2, out.stderr
+        assert out.stderr.startswith("error: ") and "Traceback" not in out.stderr
+
+    @pytest.mark.parametrize("content,message", [
+        ("", "is empty"),
+        (_TRACE_HEADER.replace(",delta,", ",") + "\n1,2,0,2,0,0.5,0.25,,4,4\n",
+         "lacks column(s) delta"),
+    ], ids=["empty", "no_delta_column"])
+    @pytest.mark.parametrize("command", ["bound eval", "table"])
+    def test_bad_trace_exit_config(self, tmp_path, runner, burgers_dir, command,
+                                   content, message):
+        trace = tmp_path / "bad_trace.csv"
+        trace.write_text(content)
+        args = (["table", "--trace", str(trace)] if command == "table" else
+                ["bound", "eval", "--system", str(burgers_dir), "--trace", str(trace),
+                 "--s1-re", "1.0", "--s2-re", "2.0"])
+        res = runner.invoke(main, args)
+        assert res.exit_code == 2, res.output
+        assert type(res.exception) is SystemExit
+        assert "error: " in res.output and message in res.output

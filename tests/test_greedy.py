@@ -364,3 +364,26 @@ def test_read_trace_rejects_empty_file(tmp_path):
                     "delta1,delta2,delta,true_error,basis_V,basis_W\n")
     with pytest.raises(ValueError, match="empty"):
         read_trace(path)
+
+
+def test_read_trace_names_missing_column(tmp_path):
+    path = tmp_path / "no_delta.csv"
+    path.write_text("iter,sigma1_re,sigma1_im,sigma2_re,sigma2_im,"
+                    "delta1,delta2,true_error,basis_V,basis_W\n"
+                    "1,2,0,3,0,0.5,0.25,,4,4\n")
+    with pytest.raises(ValueError, match=r"lacks column\(s\) delta$"):
+        read_trace(path)
+
+
+def test_stagnation_stops_the_greedy(rng, monkeypatch):
+    """A bound that never decreases stops the loop STAGNATION_WINDOW iterations later."""
+    def constant_scan(parts_fn, true_fn, grid, used, ev):
+        return next(complex(s) for s in grid if complex(s) not in used), 0.5, []
+
+    monkeypatch.setattr(greedy, "_scan", constant_scan)
+    stop = greedy.STAGNATION_WINDOW + 1
+    with pytest.warns(UserWarning, match=f"greedy stagnated after {stop} iterations"):
+        res = run_greedy(random_qb(12, rng), _config(eps_tol=1e-12, max_iters=10))
+    assert len(res.trace) == stop
+    assert res.stagnated and not res.converged
+    assert [row.delta for row in res.trace] == [1.0] * len(res.trace)

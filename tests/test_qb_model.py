@@ -1,5 +1,7 @@
 """Core data-type tests: matricizations, symmetrization, (de)serialization."""
 
+import json
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -114,7 +116,6 @@ class TestFromOperators:
         sys = random_qb(5, rng)
         u, v = rng.standard_normal(5), rng.standard_normal(5)
         assert np.allclose(sys.quadratic(u, v), sys.quadratic(v, u))
-        assert sys.q_symmetrized
         assert np.array_equal(sys.x0, np.zeros(5))
 
 
@@ -169,3 +170,13 @@ class TestSerialization:
         manifest.write_text(manifest.read_text().replace('"n": 4', '"n": 5'))
         with pytest.raises(ValueError):
             load_system(tmp_path / "sys")
+
+    def test_reads_manifest_with_q_symmetrized_key(self, rng, tmp_path):
+        # directories saved by earlier versions carry "q_symmetrized": true
+        sys = random_qb(4, rng)
+        save_system(sys, tmp_path / "sys")
+        manifest = tmp_path / "sys" / "manifest.json"
+        data = json.loads(manifest.read_text())
+        assert "q_symmetrized" not in data
+        manifest.write_text(json.dumps({**data, "q_symmetrized": True}))
+        assert np.array_equal(load_system(tmp_path / "sys").A, sys.A)
