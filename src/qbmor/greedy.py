@@ -109,13 +109,16 @@ class GreedyResult:
 
 
 def _argmax_scan(values):
-    """Index of the maximum; ties break toward the first index."""
+    """Index of the maximum; ties break toward the first index.
+
+    Raises LinAlgError if no value is finite: every bound evaluation failed.
+    """
     best, best_i = -np.inf, None
     for i, v in enumerate(values):
         if np.isfinite(v) and v > best:
             best, best_i = v, i
     if best_i is None:
-        raise RuntimeError("no finite bound value on the sample grid")
+        raise np.linalg.LinAlgError("no finite bound value at any sample grid point")
     return best_i, best
 
 
@@ -305,6 +308,9 @@ def read_trace(path):
         if missing:
             raise ValueError(f"trace file {Path(path)} lacks column(s) {', '.join(missing)}")
         for rec in reader:
+            if None in rec.values():
+                raise ValueError(f"trace file {Path(path)} line {reader.line_num} has "
+                                 f"fewer fields than its header")
             rows.append(TraceRow(
                 iter=int(rec["iter"]),
                 sigma1=complex(float(rec["sigma1_re"]), float(rec["sigma1_im"])),

@@ -212,6 +212,8 @@ def load_system(path):
     """Read a system written by :func:`save_system`."""
     path = Path(path)
     manifest = json.loads((path / "manifest.json").read_text())
+    if "n" not in manifest:
+        raise ValueError(f"manifest {path / 'manifest.json'} lacks the state dimension n")
     n = manifest["n"]
     mats = {}
     for key in _MATRIX_FILES:

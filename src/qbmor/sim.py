@@ -1,14 +1,23 @@
 """Time integration of full and reduced QB systems plus output comparison.
 
-Each run evaluates Q in the form its fill calls for: a dense array when at
-least half of its n^3 entries are stored (a projected ROM's tensor generically
-has all of them), so Q(x kron x) is one GEMV, and the sparse CSR Q otherwise.
+Each run picks the forms it evaluates the operators in once, from Q's fill
+and the state dimension n:
+
+* Q is dense when at least DENSE_Q_FILL of its n^3 entries are stored (a
+  projected ROM's tensor generically has all of them), so Q(x kron x) is one
+  GEMV and the quadratic Jacobian one GEMV with Q reshaped to n^2 x n.
+* Otherwise Q stays sparse and is read as triplets (i, j, k, q): Q(x kron x)
+  is the gather Qg (x[j] * x[k]), the products of Q (x kron x) summed in the
+  same order, at O(nnz) cost; the Jacobian sums 2 q x[j] into entry (i, k).
+* With a sparse Q and n >= SPARSE_NEWTON_N, E, A and N are CSR too, and
+  every Newton Jacobian is assembled as the data of a CSC pattern fixed for
+  the run and factored with SuperLU.  Below the cut, and for a dense Q, E, A
+  and N stay dense and LAPACK solves the dense Jacobian.
+
 Implicit Euler solves the per-step nonlinear equation by Newton iteration
-with the analytic Jacobian E/dt - A - N u - 2 Q(x kron .).  The quadratic
-part comes from that Q reshaped to n^2 x n once per run, so each Newton
-iteration costs one matvec for it.  RK4 integrates the explicit vector
-field E^{-1}(...) and therefore requires invertible E; it factors E once
-and solves every stage with LAPACK getrs on those factors.
+with the analytic Jacobian E/dt - A - N u - 2 Q(x kron .).  RK4 integrates
+the explicit vector field E^{-1}(...) and therefore requires invertible E;
+it factors E once and solves every stage with LAPACK getrs on those factors.
 """
 
 from __future__ import annotations
@@ -18,8 +27,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from .qb_model import QBSystem, apply_quadratic
+from .qb_model import apply_quadratic
 
 __all__ = [
     "Trajectory",
@@ -33,6 +43,10 @@ NEWTON_TOL = 1e-10
 NEWTON_MAX_STEPS = 20
 #: stored fraction of Q's n^3 entries from which a run evaluates Q densely
 DENSE_Q_FILL = 0.5
+#: state dimension from which a run with a sparse Q holds E, A and N as CSR
+#: and factors its Newton Jacobians with SuperLU; implicit Euler on the RC
+#: ladder and Burgers is faster so from n = 120 on, slower at n = 100
+SPARSE_NEWTON_N = 128
 
 
 class SimulationError(RuntimeError):
@@ -56,31 +70,89 @@ def _run_quadratic(Q):
     return Q.toarray() if Q.nnz >= DENSE_Q_FILL * n**3 else Q
 
 
-def _jacobian_operator(Q):
-    """Q reshaped to n^2 x n, a view if Q is dense: row i*n + j holds T(i, j, :) = T(i, :, j)."""
-    n = Q.shape[0]
-    Qj = Q.reshape(n * n, n)
-    return Qj if isinstance(Q, np.ndarray) else sp.csr_matrix(Qj)
+class _RunOperators:
+    """A system's operators in the forms one run evaluates them in (module docstring)."""
+
+    def __init__(self, sys):
+        n = self.n = sys.n
+        Q = _run_quadratic(sys.Q)
+        self.sparse = sp.issparse(Q) and n >= SPARSE_NEWTON_N
+        form = sp.csr_matrix if self.sparse else np.asarray
+        self.E, self.A, self.N = form(sys.E), form(sys.A), form(sys.N)
+        self.B = sys.B
+        if not sp.issparse(Q):
+            self.Q, self.Qj = Q, Q.reshape(n * n, n)  # row i*n + j holds T(i, j, :)
+            return
+        self.Q = None
+        self.Qg = sp.csr_matrix((Q.data, np.arange(Q.nnz), Q.indptr), shape=(n, Q.nnz))
+        i = np.repeat(np.arange(n), np.diff(Q.indptr))
+        self.j, self.k = np.divmod(Q.indices.astype(np.int64), n)
+        self.q2 = 2.0 * Q.data
+        if not self.sparse:
+            self.slots, self.size = i * n + self.k, n * n
+            return
+        # the Jacobian's CSC pattern: E, A, N and every (i, k), keyed column-major;
+        # each Newton iteration rewrites the data of this one matrix
+        self.keys = np.unique(np.concatenate(
+            [_csc_keys(M) for M in (self.E, self.A, self.N)] + [self.k * n + i]))
+        self.slots, self.size = np.searchsorted(self.keys, self.k * n + i), self.keys.size
+        self.pattern = sp.csc_matrix((np.zeros(self.size), (self.keys % n, self.keys // n)),
+                                     shape=(n, n))
+
+    def quadratic(self, x):
+        """Q(x kron x)."""
+        if self.Q is not None:
+            return apply_quadratic(self.Q, x, x)
+        return self.Qg @ (x[self.j] * x[self.k])
+
+    def quadratic_jacobian(self, x):
+        """v -> 2 Q(x kron v) for symmetrized Q, in the form :meth:`solve` takes.
+
+        A dense n x n matrix, or on a sparse run its values on the CSC pattern.
+        """
+        if self.Q is not None:
+            return 2.0 * (self.Qj @ x).reshape(self.n, self.n)
+        J = np.bincount(self.slots, self.q2 * x[self.j], minlength=self.size)
+        return J if self.sparse else J.reshape(self.n, self.n)
+
+    def on_pattern(self, M):
+        """M (E, A, N or a sum of them) in the form of :meth:`quadratic_jacobian`."""
+        if not self.sparse:
+            return M
+        out = np.zeros(self.size)
+        out[np.searchsorted(self.keys, _csc_keys(M))] = sp.coo_matrix(M).data
+        return out
+
+    def solve(self, J, F):
+        """J^{-1} F; raises SimulationError if J is exactly singular."""
+        try:
+            if self.sparse:
+                self.pattern.data[:] = J
+                return spla.splu(self.pattern).solve(F)
+            return np.linalg.solve(J, F)
+        # SuperLU reports an exactly singular factor as a RuntimeError
+        except (np.linalg.LinAlgError, RuntimeError) as exc:
+            raise SimulationError(f"singular Newton Jacobian: {exc}") from exc
 
 
-def _quadratic_jacobian(Qj, x):
-    """Dense matrix of v -> 2 Q(x kron v) for symmetrized Q; Qj = _jacobian_operator(Q)."""
-    n = x.shape[0]
-    return 2.0 * (Qj @ x).reshape(n, n)
+def _csc_keys(M):
+    """Column-major keys col * n + row of M's stored entries."""
+    M = sp.coo_matrix(M)
+    return M.col.astype(np.int64) * M.shape[0] + M.row
 
 
-def _qb_rhs(sys, Q, x, u):
-    return sys.A @ x + (sys.N @ x) * u + apply_quadratic(Q, x, x) + sys.B * u
+def _qb_rhs(ops, x, u):
+    return ops.A @ x + (ops.N @ x) * u + ops.quadratic(x) + ops.B * u
 
 
 def simulate_qb(sys, u, t_end, dt, scheme="implicit_euler",
                 x0=None, divergence_limit=1e6):
     """Integrate a QB system; returns the output trajectory y = C x.
 
-    The quadratic term is evaluated through the run's Q (see
-    :func:`_run_quadratic`) without ever materializing x kron x as a
-    matrix.  If |y| exceeds divergence_limit the run is truncated and
-    flagged in the trajectory metadata.
+    The operators are evaluated in the run's forms (see the module
+    docstring) without ever materializing x kron x as a matrix.  If |y|
+    exceeds divergence_limit the run is truncated and flagged in the
+    trajectory metadata.
     """
     if scheme not in ("implicit_euler", "rk4"):
         raise ValueError(f"unknown scheme {scheme!r}")
@@ -96,7 +168,7 @@ def simulate_qb(sys, u, t_end, dt, scheme="implicit_euler",
     ys = np.empty(nsteps + 1)
     ys[0] = sys.C @ x
     diverged = False
-    Q = _run_quadratic(sys.Q)
+    ops = _RunOperators(sys)
 
     if scheme == "rk4":
         # lu_factor only warns on an exactly singular matrix, so check first
@@ -109,9 +181,9 @@ def simulate_qb(sys, u, t_end, dt, scheme="implicit_euler",
         def f(t, x):
             # the routine lu_solve calls, without its per-call wrapper and
             # finite check; the divergence check below catches non-finite states
-            return getrs(lu, piv, _qb_rhs(sys, Q, x, float(u(t))), overwrite_b=True)[0]
+            return getrs(lu, piv, _qb_rhs(ops, x, float(u(t))), overwrite_b=True)[0]
     else:
-        ie = _ImplicitEuler(sys, Q, dt)
+        ie = _ImplicitEuler(ops, dt)
 
     for k in range(nsteps):
         if scheme == "rk4":
@@ -141,23 +213,22 @@ def _rk4_step(f, t, x, dt):
 class _ImplicitEuler:
     """Implicit Euler steps by Newton iteration; the run's invariants are built once."""
 
-    def __init__(self, sys, Q, dt):
-        self.sys, self.Q, self.dt = sys, Q, dt
-        self.G = sys.E / dt - sys.A
-        self.b_norm = np.linalg.norm(sys.B)
-        self.Qj = _jacobian_operator(Q)
+    def __init__(self, ops, dt):
+        self.ops, self.dt = ops, dt
+        self.G = ops.on_pattern(ops.E / dt - ops.A)
+        self.N = ops.on_pattern(ops.N)
+        self.b_norm = np.linalg.norm(ops.B)
 
     def step(self, x, u_next, step_index):
-        sys, dt = self.sys, self.dt
+        ops, dt = self.ops, self.dt
         scale = max(self.b_norm * abs(u_next), np.linalg.norm(x) / dt, 1.0)
-        J_lin = self.G - sys.N * u_next
+        J_lin = self.G - self.N * u_next
         x_new = x.copy()
         for _ in range(NEWTON_MAX_STEPS):
-            F = sys.E @ (x_new - x) / dt - _qb_rhs(sys, self.Q, x_new, u_next)
+            F = ops.E @ (x_new - x) / dt - _qb_rhs(ops, x_new, u_next)
             if np.linalg.norm(F) <= NEWTON_TOL * scale:
                 return x_new
-            J = J_lin - _quadratic_jacobian(self.Qj, x_new)
-            x_new = x_new - np.linalg.solve(J, F)
+            x_new = x_new - ops.solve(J_lin - ops.quadratic_jacobian(x_new), F)
         raise SimulationError(
             f"Newton failed to converge at step {step_index}; try a smaller dt")
 

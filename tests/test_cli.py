@@ -14,10 +14,11 @@ import numpy as np
 import pytest
 import scipy
 import scipy.linalg as sla
+import scipy.sparse as sp
 from click.testing import CliRunner
 
 import qbmor
-from qbmor import load_system
+from qbmor import QBSystem, load_system, save_system, sim
 from qbmor.cli import _system_sha256, main
 from qbmor.greedy import read_trace
 
@@ -363,3 +364,56 @@ class TestExitCodes:
         assert res.exit_code == 2, res.output
         assert type(res.exception) is SystemExit
         assert "error: " in res.output and message in res.output
+
+    @pytest.mark.filterwarnings("ignore:skipping sample point")
+    def test_all_grid_points_singular_exit_numerical(self, tmp_path, runner):
+        # x' = x + u: the pencil s - 1 is singular at the only grid point, s = 1
+        sysdir = tmp_path / "unstable"
+        save_system(QBSystem.from_operators(np.eye(1), np.eye(1), np.zeros((1, 1)),
+                                            sp.csr_matrix((1, 1)), np.ones(1), np.ones(1)),
+                    sysdir)
+        cfg = _greedy_config(tmp_path, grid_lo=1, grid_hi=1, grid_num=1)
+        res = runner.invoke(main, ["reduce", "greedy", "--system", str(sysdir),
+                                   "--config", str(cfg), "--out", str(tmp_path / "run")])
+        assert res.exit_code == 3, res.output
+        assert type(res.exception) is SystemExit
+        assert "error: no finite bound value" in res.output
+
+    def test_manifest_without_n_exit_config(self, tmp_path, runner, burgers_dir):
+        manifest = burgers_dir / "manifest.json"
+        fields = json.loads(manifest.read_text())
+        del fields["n"]
+        manifest.write_text(json.dumps(fields))
+        res = runner.invoke(main, ["tf", "eval", "--system", str(burgers_dir), "--s1-re", "1.0"])
+        assert res.exit_code == 2, res.output
+        assert type(res.exception) is SystemExit
+        assert "error: " in res.output and "lacks the state dimension n" in res.output
+
+    def test_short_trace_row_exit_config(self, tmp_path, runner):
+        trace = tmp_path / "short.csv"
+        trace.write_text(_TRACE_HEADER + "\n1,2,0\n")
+        res = runner.invoke(main, ["table", "--trace", str(trace)])
+        assert res.exit_code == 2, res.output
+        assert type(res.exception) is SystemExit
+        assert "error: " in res.output and "fewer fields than its header" in res.output
+
+    @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["python", "python -O"])
+    def test_singular_newton_jacobian_exit_numerical(self, tmp_path, flags):
+        # E = I, A = 2 I from x0 = 1: every Newton Jacobian E/dt - A is zero at dt = 0.5,
+        # on a system large enough for the sparse Newton path
+        n = sim.SPARSE_NEWTON_N
+        sysdir = tmp_path / "singular"
+        save_system(QBSystem.from_operators(np.eye(n), 2.0 * np.eye(n), np.zeros((n, n)),
+                                            sp.csr_matrix((n, n * n)), np.ones(n),
+                                            np.ones(n), x0=np.ones(n)), sysdir)
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(src), os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run(
+            [sys.executable, *flags, "-m", "qbmor.cli", "simulate", "--system", str(sysdir),
+             "--input", "zero", "--t-end", "1.0", "--dt", "0.5",
+             "--out", str(tmp_path / "y.csv")],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert out.returncode == 3, out.stderr
+        assert out.stderr.startswith("error: singular Newton Jacobian")
+        assert "Traceback" not in out.stderr

@@ -10,10 +10,10 @@ from qbmor.qb_model import apply_quadratic
 from qbmor.sim import (
     NEWTON_MAX_STEPS,
     NEWTON_TOL,
+    SPARSE_NEWTON_N,
     SimulationError,
     Trajectory,
-    _jacobian_operator,
-    _quadratic_jacobian,
+    _RunOperators,
     _run_quadratic,
     compare_outputs,
     integrate_rk4,
@@ -117,26 +117,42 @@ def _jacobian_systems():
         np.ones(n), np.ones(n)), id="zero Q")
 
 
+def _dense_jacobian_oracle(sys, x):
+    # d/dv Q(x kron v) = Q (x kron I), doubled by the symmetry of Q
+    return 2 * sys.Q.toarray() @ np.kron(x[:, None], np.eye(sys.n))
+
+
 class TestQuadraticJacobian:
     @pytest.mark.parametrize("sys", list(_jacobian_systems()))
-    def test_matches_dense_oracle_and_scatter(self, sys):
+    def test_matches_dense_oracle_and_scatter(self, sys, monkeypatch):
+        monkeypatch.setattr(sim, "DENSE_Q_FILL", np.inf)  # the triplet form at every fill
         n = sys.n
         x = np.random.default_rng(n).standard_normal(n)
-        J = _quadratic_jacobian(_jacobian_operator(sys.Q), x)
-        # d/dv Q(x kron v) = Q (x kron I), doubled by the symmetry of Q
-        dense = 2 * sys.Q.toarray() @ np.kron(x[:, None], np.eye(n))
-        np.testing.assert_allclose(J, dense, rtol=1e-12, atol=0)
+        ops = _RunOperators(sys)
+        assert ops.Q is None and not ops.sparse
+        J = ops.quadratic_jacobian(x)
+        np.testing.assert_allclose(J, _dense_jacobian_oracle(sys, x), rtol=1e-12, atol=0)
         assert np.array_equal(J, _scatter_jacobian(sys.Q, x))
+
+    @pytest.mark.parametrize("sys", list(_jacobian_systems()))
+    def test_csc_data_matches_scatter(self, sys, monkeypatch):
+        monkeypatch.setattr(sim, "DENSE_Q_FILL", np.inf)
+        monkeypatch.setattr(sim, "SPARSE_NEWTON_N", 1)
+        x = np.random.default_rng(sys.n).standard_normal(sys.n)
+        ops = _RunOperators(sys)
+        assert ops.sparse
+        J = ops.pattern.copy()
+        J.data[:] = ops.quadratic_jacobian(x)
+        assert np.array_equal(J.toarray(), _scatter_jacobian(sys.Q, x))
 
     def test_fully_populated_q_as_dense_view(self):
         sys = random_qb(6, np.random.default_rng(5), q_scale=1.0, density=1.0)
         n = sys.n
-        Q = _run_quadratic(sys.Q)
-        Qj = _jacobian_operator(Q)
-        assert isinstance(Qj, np.ndarray) and np.shares_memory(Qj, Q)
+        ops = _RunOperators(sys)
+        assert isinstance(ops.Qj, np.ndarray) and np.shares_memory(ops.Qj, ops.Q)
         x = np.random.default_rng(n).standard_normal(n)
-        dense = 2 * sys.Q.toarray() @ np.kron(x[:, None], np.eye(n))
-        np.testing.assert_allclose(_quadratic_jacobian(Qj, x), dense, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(ops.quadratic_jacobian(x), _dense_jacobian_oracle(sys, x),
+                                   rtol=1e-12, atol=0)
 
 
 def _sparse_system_nonsymmetric_mass(n=12, seed=3):
@@ -214,6 +230,78 @@ class TestRunQuadratic:
         u = InputSignal("exp_decay")
         traj = simulate_qb(sys, u, 0.5, 1e-2, scheme="rk4")
         assert np.array_equal(traj.outputs, _csr_reference(sys, u, 0.5, 1e-2, "rk4"))
+
+
+def _singular_newton_system(n):
+    """E = I, A = 2 I and zero N, Q: at dt = 0.5 every Newton Jacobian E/dt - A is zero."""
+    return QBSystem.from_operators(np.eye(n), 2.0 * np.eye(n), np.zeros((n, n)),
+                                   sp.csr_matrix((n, n * n)), np.ones(n), np.ones(n),
+                                   x0=np.ones(n))
+
+
+class TestSparseNewton:
+    """Full models: a gathered Q at every size, sparse Newton from SPARSE_NEWTON_N on."""
+
+    @pytest.mark.parametrize("sys", [
+        pytest.param(benchmarks.rc_ladder(50), id="rc l=50"),
+        pytest.param(benchmarks.burgers(300, 0.01), id="burgers n=300"),
+        pytest.param(random_qb(20, np.random.default_rng(2), q_scale=1.0), id="random n=20"),
+    ])
+    def test_gather_bit_identical_to_apply_quadratic(self, sys):
+        ops = _RunOperators(sys)
+        assert ops.Q is None
+        for seed in range(3):
+            x = np.random.default_rng(seed).standard_normal(sys.n)
+            assert np.array_equal(ops.quadratic(x), apply_quadratic(sys.Q, x, x))
+
+    @pytest.mark.parametrize("sys,sparse", [
+        pytest.param(benchmarks.rc_ladder(50), False, id="rc l=50 dense"),
+        pytest.param(benchmarks.burgers(300, 0.01), True, id="burgers n=300 sparse"),
+    ])
+    def test_path_selection(self, sys, sparse, monkeypatch):
+        assert (sys.n >= SPARSE_NEWTON_N) == sparse
+        ops = _RunOperators(sys)
+        assert ops.sparse == sparse
+        assert all(sp.issparse(M) == sparse for M in (ops.E, ops.A, ops.N))
+        calls = {"splu": 0, "solve": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(sim.spla, "splu", counted("splu", sim.spla.splu))
+        monkeypatch.setattr(sim.np.linalg, "solve", counted("solve", sim.np.linalg.solve))
+        simulate_qb(sys, InputSignal("exp_decay"), 0.05, 1e-2)
+        assert (calls["splu"] > 0, calls["solve"] > 0) == (sparse, not sparse)
+
+    @pytest.mark.parametrize("sys,u", [
+        pytest.param(benchmarks.burgers(300, 0.01), InputSignal("cosine_pi"), id="burgers n=300"),
+        pytest.param(benchmarks.rc_ladder(100), InputSignal("exp_decay"), id="rc l=100"),
+    ])
+    def test_sparse_and_dense_newton_agree(self, sys, u, monkeypatch):
+        assert sys.n >= SPARSE_NEWTON_N
+        sparse = simulate_qb(sys, u, 0.5, 1e-2)
+        monkeypatch.setattr(sim, "SPARSE_NEWTON_N", np.inf)
+        dense = simulate_qb(sys, u, 0.5, 1e-2)
+        assert not (sparse.meta["diverged"] or dense.meta["diverged"])
+        rel = np.max(np.abs(sparse.outputs - dense.outputs)) / np.max(np.abs(dense.outputs))
+        assert rel <= 1e-12
+
+    def test_full_model_ie_below_cut_bit_identical_to_solve_loop(self):
+        sys = _sparse_system_nonsymmetric_mass()
+        assert sp.issparse(_run_quadratic(sys.Q)) and sys.n < SPARSE_NEWTON_N
+        u = InputSignal("exp_decay")
+        traj = simulate_qb(sys, u, 0.5, 1e-2)
+        assert np.array_equal(traj.outputs,
+                              _csr_reference(sys, u, 0.5, 1e-2, "implicit_euler"))
+
+    @pytest.mark.parametrize("n", [SPARSE_NEWTON_N - 1, SPARSE_NEWTON_N],
+                             ids=["dense", "sparse"])
+    def test_singular_jacobian_raises_simulation_error(self, n):
+        with pytest.raises(SimulationError, match="singular Newton Jacobian"):
+            simulate_qb(_singular_newton_system(n), InputSignal("zero"), 1.0, 0.5)
 
 
 class TestSchemesAgree:
