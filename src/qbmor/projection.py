@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .qb_model import QBSystem, symmetrize_quadratic
+from .qb_model import QBSystem, quadratic_gather, symmetrize_quadratic
 from . import transfer
 
 __all__ = [
@@ -36,6 +36,8 @@ __all__ = [
 ]
 
 DEFLATION_TOL = 1e-8
+# entries of the (nonzeros x r^2) Kronecker rows reduce forms at a time
+_QR_CHUNK = 1 << 20
 
 
 class SingularReductionError(np.linalg.LinAlgError):
@@ -202,8 +204,11 @@ def project_linear(sys, V, W):
 def reduce(sys, V, W):
     """Project a system onto span(V) along span(W) (Petrov-Galerkin).
 
-    Qr is assembled column-pair-wise through the sparse Q and symmetrized
-    afterwards so ROM simulation uses the same conventions as the full model.
+    Qr = W^T Q (V kron V) is assembled from Q's triplets (i, j, k, q), a
+    chunk of nonzeros at a time: Qr += (W[i] q)^T (V[j] kron V[k]), the
+    Kronecker product taken row by row, so no n x r^2 block is formed.  It is
+    symmetrized afterwards so ROM simulation uses the same conventions as the
+    full model.
     """
     n, r = V.shape
     if W.shape != (n, r):
@@ -216,10 +221,14 @@ def reduce(sys, V, W):
             raise SingularReductionError(
                 f"W^T E V numerically singular (cond estimate {cond:.3e})"
             )
-    Qr = np.empty((r, r * r))
-    for a in range(r):
-        block = sys.Q @ np.kron(V[:, a][:, None], V)
-        Qr[:, a * r:(a + 1) * r] = W.T @ block
+    Qr = np.zeros((r, r * r))
+    if r:
+        i, j, k, Qg = quadratic_gather(sys.Q)
+        step = max(1, _QR_CHUNK // (r * r))
+        for p in range(0, Qg.nnz, step):
+            c = slice(p, p + step)
+            kron_rows = V[j[c], :, None] * V[k[c], None, :]
+            Qr += (W[i[c]] * Qg.data[c, None]).T @ kron_rows.reshape(-1, r * r)
     Qr = symmetrize_quadratic(sp.csr_matrix(Qr))
     return ReducedQBSystem(Er=Er, Ar=Ar, Nr=Nr, Qr=Qr, Br=Br, Cr=Cr, V=V, W=W)
 

@@ -19,11 +19,15 @@ from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from scipy.io import mmread, mmwrite
 
 __all__ = [
     "QBSystem",
     "InputSignal",
+    "SPARSE_FACTOR_N",
+    "sparse_factors",
+    "quadratic_gather",
     "apply_quadratic",
     "symmetrize_quadratic",
     "mode2_matricization",
@@ -34,12 +38,100 @@ __all__ = [
 #: frequencies probed to confirm the pencil sE - A is regular
 _REGULARITY_PROBES = (1.0, 10.0, 100.0, 1.0 + 1.0j)
 
+#: stored fraction of Q's n^3 entries from which Q counts as dense (a
+#: projected ROM's tensor generically has all of them)
+DENSE_Q_FILL = 0.5
+#: state dimension from which a system with a sparse Q is held sparse and its
+#: linear systems (the pencils zE - A in transfer, the Newton Jacobians in
+#: sim) are factored with SuperLU; implicit Euler on the RC ladder and
+#: Burgers is faster so from n = 120 on, slower at n = 100
+SPARSE_FACTOR_N = 128
+
+
+def dense_quadratic(Q):
+    """True if Q is a dense array or stores at least DENSE_Q_FILL of its n^3 entries."""
+    return not sp.issparse(Q) or Q.nnz >= DENSE_Q_FILL * Q.shape[0] ** 3
+
+
+def sparse_factors(sys):
+    """The sparse-form rule shared by transfer and sim: a sparse Q and n >= SPARSE_FACTOR_N."""
+    return sys.n >= SPARSE_FACTOR_N and not dense_quadratic(sys.Q)
+
+
+def quadratic_gather(Q):
+    """The triplets (i, j, k, Qg) of a CSR Q, built on first use and kept with Q.
+
+    Stored entry p is T(i[p], j[p], k[p]) = Qg.data[p], and
+    Qg = csr((Q.data, arange(nnz), Q.indptr)) has one column per stored
+    entry, so Q (u kron v) = Qg (u[j] * v[k]): entry p of row i multiplies
+    the same product u[j] v[k] as in Q @ (u kron v), in the same order, and
+    the two agree bitwise, at O(nnz) instead of O(n^2) cost.  Q must not be
+    modified in place after its first product.
+    """
+    g = getattr(Q, "_qbmor_gather", None)
+    if g is None:
+        n = Q.shape[0]
+        j, k = np.divmod(Q.indices.astype(np.int64), n)
+        g = Q._qbmor_gather = (
+            np.repeat(np.arange(n), np.diff(Q.indptr)), j, k,
+            sp.csr_matrix((Q.data, np.arange(Q.nnz), Q.indptr), shape=(n, Q.nnz)))
+    return g
+
+
+class CscPattern:
+    """A CSC pattern fixed once, whose data is rewritten for every factorization.
+
+    The pattern is the union of the stored entries of some n x n matrices
+    and of extra entries, given as column-major keys col * n + row; the
+    matrix's data follows the sorted keys.
+    """
+
+    def __init__(self, n, matrices, extra_keys=()):
+        self.n = n
+        self.keys = np.unique(np.concatenate(
+            [_csc_keys(M) for M in matrices] + [np.asarray(extra_keys, dtype=np.int64)]))
+        self.cols = self.keys // n
+        self.matrix = sp.csc_matrix((np.zeros(self.keys.size), (self.keys % n, self.cols)),
+                                    shape=(n, n))
+
+    def slots(self, keys):
+        """Positions of the given keys in the pattern's data."""
+        return np.searchsorted(self.keys, keys)
+
+    def values(self, M):
+        """The entries of M (on the pattern) as pattern data."""
+        out = np.zeros(self.keys.size)
+        out[self.slots(_csc_keys(M))] = sp.coo_matrix(M).data
+        return out
+
+    def norm1(self, data):
+        """1-norm (largest absolute column sum) of the matrix with these data."""
+        return float(np.bincount(self.cols, np.abs(data), minlength=self.n).max())
+
+    def splu(self, data):
+        """SuperLU factors of the matrix with these data (real or complex).
+
+        SuperLU reports an exactly singular factor as a RuntimeError; it is
+        raised here as ``np.linalg.LinAlgError``.
+        """
+        self.matrix.data = data
+        try:
+            return spla.splu(self.matrix)
+        except RuntimeError as exc:
+            raise np.linalg.LinAlgError(str(exc)) from exc
+
+
+def _csc_keys(M):
+    """Column-major keys col * n + row of M's stored entries."""
+    M = sp.coo_matrix(M)
+    return M.col.astype(np.int64) * M.shape[0] + M.row
+
 
 def apply_quadratic(Q, u, v):
-    """Evaluate Q (u kron v) at O(n^2 + nnz) cost.
+    """Evaluate Q (u kron v) without forming an n x n^2 intermediate.
 
-    The Kronecker vector is formed as a flat outer product; no n x n^2
-    intermediate is materialized.
+    A CSR Q is applied as its gather (see :func:`quadratic_gather`) at
+    O(nnz) cost; any other Q multiplies the flat outer product of u and v.
     """
     u = np.asarray(u)
     v = np.asarray(v)
@@ -48,6 +140,9 @@ def apply_quadratic(Q, u, v):
         raise ValueError(
             f"dimension mismatch: Q is {Q.shape}, u has {u.shape[0]}, v has {v.shape[0]}"
         )
+    if sp.issparse(Q) and Q.format == "csr":
+        _, j, k, Qg = quadratic_gather(Q)
+        return Qg @ (u[j] * v[k])
     return Q @ np.multiply.outer(u, v).ravel()
 
 

@@ -1,35 +1,40 @@
 """Time integration of full and reduced QB systems plus output comparison.
 
 Each run picks the forms it evaluates the operators in once, from Q's fill
-and the state dimension n:
+and the state dimension n, by the rules of ``qb_model``:
 
 * Q is dense when at least DENSE_Q_FILL of its n^3 entries are stored (a
   projected ROM's tensor generically has all of them), so Q(x kron x) is one
   GEMV and the quadratic Jacobian one GEMV with Q reshaped to n^2 x n.
-* Otherwise Q stays sparse and is read as triplets (i, j, k, q): Q(x kron x)
-  is the gather Qg (x[j] * x[k]), the products of Q (x kron x) summed in the
-  same order, at O(nnz) cost; the Jacobian sums 2 q x[j] into entry (i, k).
-* With a sparse Q and n >= SPARSE_NEWTON_N, E, A and N are CSR too, and
-  every Newton Jacobian is assembled as the data of a CSC pattern fixed for
-  the run and factored with SuperLU.  Below the cut, and for a dense Q, E, A
-  and N stay dense and LAPACK solves the dense Jacobian.
+* Otherwise Q stays sparse and is read as its gather triplets (i, j, k, q):
+  Q(x kron x) is the gather Qg (x[j] * x[k]), the products of Q (x kron x)
+  summed in the same order, at O(nnz) cost; the Jacobian sums 2 q x[j] into
+  entry (i, k).
+* With a sparse Q and n >= SPARSE_FACTOR_N (``qb_model.sparse_factors``),
+  E, A and N are CSR too, and every Newton Jacobian is assembled as the data
+  of a CSC pattern fixed for the run and factored with SuperLU.  Below the
+  cut, and for a dense Q, E, A and N stay dense and LAPACK solves the dense
+  Jacobian.
 
 Implicit Euler solves the per-step nonlinear equation by Newton iteration
 with the analytic Jacobian E/dt - A - N u - 2 Q(x kron .).  RK4 integrates
 the explicit vector field E^{-1}(...) and therefore requires invertible E;
-it factors E once and solves every stage with LAPACK getrs on those factors.
+it factors E once, checks the factors with LAPACK gecon and solves every
+stage with LAPACK getrs on them.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
-from .qb_model import apply_quadratic
+from .qb_model import (
+    CscPattern, apply_quadratic, dense_quadratic, quadratic_gather, sparse_factors,
+)
 
 __all__ = [
     "Trajectory",
@@ -41,12 +46,8 @@ __all__ = [
 
 NEWTON_TOL = 1e-10
 NEWTON_MAX_STEPS = 20
-#: stored fraction of Q's n^3 entries from which a run evaluates Q densely
-DENSE_Q_FILL = 0.5
-#: state dimension from which a run with a sparse Q holds E, A and N as CSR
-#: and factors its Newton Jacobians with SuperLU; implicit Euler on the RC
-#: ladder and Burgers is faster so from n = 120 on, slower at n = 100
-SPARSE_NEWTON_N = 128
+#: reciprocal condition estimate of E below which RK4 refuses to run
+RK4_E_RCOND = 1e-14
 
 
 class SimulationError(RuntimeError):
@@ -66,8 +67,7 @@ class Trajectory:
 
 def _run_quadratic(Q):
     """Q as a run evaluates it: dense from DENSE_Q_FILL of n^3 entries stored, else CSR."""
-    n = Q.shape[0]
-    return Q.toarray() if Q.nnz >= DENSE_Q_FILL * n**3 else Q
+    return Q.toarray() if dense_quadratic(Q) else Q
 
 
 class _RunOperators:
@@ -76,7 +76,7 @@ class _RunOperators:
     def __init__(self, sys):
         n = self.n = sys.n
         Q = _run_quadratic(sys.Q)
-        self.sparse = sp.issparse(Q) and n >= SPARSE_NEWTON_N
+        self.sparse = sparse_factors(sys)
         form = sp.csr_matrix if self.sparse else np.asarray
         self.E, self.A, self.N = form(sys.E), form(sys.A), form(sys.N)
         self.B = sys.B
@@ -84,20 +84,15 @@ class _RunOperators:
             self.Q, self.Qj = Q, Q.reshape(n * n, n)  # row i*n + j holds T(i, j, :)
             return
         self.Q = None
-        self.Qg = sp.csr_matrix((Q.data, np.arange(Q.nnz), Q.indptr), shape=(n, Q.nnz))
-        i = np.repeat(np.arange(n), np.diff(Q.indptr))
-        self.j, self.k = np.divmod(Q.indices.astype(np.int64), n)
+        i, self.j, self.k, self.Qg = quadratic_gather(Q)
         self.q2 = 2.0 * Q.data
         if not self.sparse:
             self.slots, self.size = i * n + self.k, n * n
             return
-        # the Jacobian's CSC pattern: E, A, N and every (i, k), keyed column-major;
-        # each Newton iteration rewrites the data of this one matrix
-        self.keys = np.unique(np.concatenate(
-            [_csc_keys(M) for M in (self.E, self.A, self.N)] + [self.k * n + i]))
-        self.slots, self.size = np.searchsorted(self.keys, self.k * n + i), self.keys.size
-        self.pattern = sp.csc_matrix((np.zeros(self.size), (self.keys % n, self.keys // n)),
-                                     shape=(n, n))
+        # the Jacobian's CSC pattern: E, A, N and every (i, k); each Newton
+        # iteration rewrites the data of this one matrix
+        self.pattern = CscPattern(n, (self.E, self.A, self.N), self.k * n + i)
+        self.slots, self.size = self.pattern.slots(self.k * n + i), self.pattern.keys.size
 
     def quadratic(self, x):
         """Q(x kron x)."""
@@ -117,28 +112,16 @@ class _RunOperators:
 
     def on_pattern(self, M):
         """M (E, A, N or a sum of them) in the form of :meth:`quadratic_jacobian`."""
-        if not self.sparse:
-            return M
-        out = np.zeros(self.size)
-        out[np.searchsorted(self.keys, _csc_keys(M))] = sp.coo_matrix(M).data
-        return out
+        return self.pattern.values(M) if self.sparse else M
 
     def solve(self, J, F):
         """J^{-1} F; raises SimulationError if J is exactly singular."""
         try:
             if self.sparse:
-                self.pattern.data[:] = J
-                return spla.splu(self.pattern).solve(F)
+                return self.pattern.splu(J).solve(F)
             return np.linalg.solve(J, F)
-        # SuperLU reports an exactly singular factor as a RuntimeError
-        except (np.linalg.LinAlgError, RuntimeError) as exc:
+        except np.linalg.LinAlgError as exc:
             raise SimulationError(f"singular Newton Jacobian: {exc}") from exc
-
-
-def _csc_keys(M):
-    """Column-major keys col * n + row of M's stored entries."""
-    M = sp.coo_matrix(M)
-    return M.col.astype(np.int64) * M.shape[0] + M.row
 
 
 def _qb_rhs(ops, x, u):
@@ -171,12 +154,16 @@ def simulate_qb(sys, u, t_end, dt, scheme="implicit_euler",
     ops = _RunOperators(sys)
 
     if scheme == "rk4":
-        # lu_factor only warns on an exactly singular matrix, so check first
-        cond = np.linalg.cond(sys.E)
-        if not np.isfinite(cond) or cond > 1e14:
+        # lu_factor only warns on an exactly singular matrix; gecon's
+        # reciprocal condition estimate of the factors is 0 there, and NaN
+        # for a non-finite E
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", sla.LinAlgWarning)
+            lu, piv = sla.lu_factor(sys.E, check_finite=False)
+        getrs, gecon = sla.get_lapack_funcs(("getrs", "gecon"), (lu,))
+        rcond, _ = gecon(lu, np.linalg.norm(sys.E, 1), norm="1")
+        if not rcond >= RK4_E_RCOND:
             raise SimulationError("rk4 requires invertible E")
-        lu, piv = sla.lu_factor(sys.E)
-        getrs, = sla.get_lapack_funcs(("getrs",), (lu,))
 
         def f(t, x):
             # the routine lu_solve calls, without its per-call wrapper and

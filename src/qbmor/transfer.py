@@ -15,11 +15,15 @@ c2(s1,s2) = Q2(x1(s2) kron y1(s1+s2)) + N^T y1(s1+s2)/2 built from the
 mode-2 matricization Q2.  Transposes are plain (non-conjugated) throughout.
 
 Solves that produce interpolation vectors or derivatives (x1, y1, x2, y2,
-dH2) use the complex LU that ``PencilSolver`` caches per frequency, so a
-basis does not depend on which solves came first.  H2 is a point
-evaluation, used mostly to validate the error bound at pair sums that
-nothing else solves at; it factors once without caching, in real arithmetic
-for real arguments.
+dH2) factor sE - A in complex arithmetic whatever s, so a basis does not
+depend on which solves came first.  The factorization follows the sparse
+rule of ``qb_model.sparse_factors``: below it (the RC ladder, every ROM) a
+dense LAPACK LU that ``PencilSolver`` caches per frequency; from it on (the
+full Burgers models) SuperLU factors of the pencil held on one CSC pattern,
+refactored for every solve and never cached.  H2 is a point evaluation,
+used mostly to validate the error bound at pair sums that nothing else
+solves at; it factors once without caching, in real arithmetic for real
+arguments.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .qb_model import QBSystem, apply_quadratic
+from .qb_model import CscPattern, QBSystem, apply_quadratic, sparse_factors
 
 __all__ = [
     "PencilSolver",
@@ -46,13 +50,53 @@ __all__ = [
 
 _RESIDUAL_TOL = 1e-10
 _EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
 # rounding margin of sigma_min_lower, in units of n eps (|s| ||E|| + ||A||)
 _LOWER_MARGIN = 64
+# iterations of the Hager-Higham estimate, as in LAPACK xLACN2
+_NORM_EST_ITERS = 5
 
 
 def _norm2_bound(M):
     """sqrt(||M||_1 ||M||_inf), a cheap upper bound on the spectral norm."""
     return float(np.sqrt(np.linalg.norm(M, 1) * np.linalg.norm(M, np.inf)))
+
+
+def _inv_norm1_estimate(lu, dtype):
+    """Hager-Higham estimate of ||G^{-1}||_1 from SuperLU factors of G.
+
+    The iteration of LAPACK xLACN2, which gecon runs on LAPACK factors:
+    every estimate is ||G^{-1} x||_1 for an x with ||x||_1 = 1, so it never
+    exceeds ||G^{-1}||_1.  It takes two solves with the factors per
+    iteration, at most five iterations, plus one solve each for the start
+    and the alternating test vector (six in all on a typical Burgers pencil).
+    """
+    n = lu.shape[0]
+    y = lu.solve(np.full(n, 1.0 / n, dtype))
+    est = np.abs(y).sum()
+    if n == 1:
+        return est
+    j = None
+    for _ in range(_NORM_EST_ITERS):
+        # the sign vector of y, with 1 where |y| is below the smallest normal
+        # number (xLACN2's safe minimum), whose reciprocal would overflow
+        a = np.abs(y)
+        big = a >= _TINY
+        sign = np.ones(n, dtype)
+        sign[big] = y[big] / a[big]
+        z = np.abs(lu.solve(sign, trans="H"))
+        j_last, j = j, int(np.argmax(z))
+        if j_last is not None and z[j_last] == z[j]:
+            break
+        e = np.zeros(n, dtype)
+        e[j] = 1.0
+        y = lu.solve(e)
+        new = np.abs(y).sum()
+        if new <= est:
+            break
+        est = new
+    alt = (1.0 + np.arange(n) / (n - 1)) * (-1.0) ** np.arange(n)
+    return max(est, 2.0 * np.abs(lu.solve(alt.astype(dtype))).sum() / (3 * n))
 
 
 @dataclass
@@ -65,16 +109,25 @@ class _Pencil:
 
 
 class PencilSolver:
-    """Per-frequency cache of the LU of sE - A, sigma_min(sE - A) and x1(s).
+    """Per-frequency cache of sigma_min(sE - A), x1(s) and, below the sparse cut, the LU.
 
-    Entries are keyed by the exact complex value of s.  One factorization
-    serves x1-type solves and transposed y1-type solves at the same
-    frequency.  :meth:`solve_once` factors without caching, for point
-    evaluations whose LU nothing reuses.  A frequency where sE - A is
-    numerically singular (LAPACK reciprocal condition estimate below machine
-    epsilon, or sigma_min / sigma_max below n times it) raises
-    ``np.linalg.LinAlgError``.  Every cached sigma_min is also an anchor of
-    the Weyl bound in :meth:`sigma_min_lower`.
+    Entries are keyed by the exact complex value of s.  Systems under the
+    rule of ``qb_model.sparse_factors`` (a sparse Q and n >= SPARSE_FACTOR_N)
+    hold N as CSR and factor sE - A with SuperLU on one CSC pattern of E and
+    A built here, whose data is rewritten for each s.  Every solve refactors
+    and no SuperLU object is kept: the factors of a build's few hundred
+    frequencies would set its memory peak.  Below the cut, one dense LAPACK
+    LU per frequency serves x1-type solves and transposed y1-type solves
+    alike.  :meth:`solve_once` factors without caching, for point
+    evaluations.
+
+    A frequency where sE - A is numerically singular raises
+    ``np.linalg.LinAlgError``: the reciprocal condition estimate
+    1 / (||G||_1 est ||G^{-1}||_1) of its factors is below machine epsilon
+    (LAPACK gecon on a dense LU; the same Hager-Higham estimate on SuperLU
+    factors, which also report an exactly singular pencil), or
+    sigma_min / sigma_max is below n times it.  Every cached sigma_min is
+    also an anchor of the Weyl bound in :meth:`sigma_min_lower`.
 
     ``counts`` tallies factorizations, cached and one-shot, and sigma_min
     evaluations since construction.
@@ -85,16 +138,34 @@ class PencilSolver:
         self._cache = {}
         self._q2 = None
         self._E, self._A = sp.csr_matrix(sys.E), sp.csr_matrix(sys.A)
+        self._Et, self._At = self._E.T, self._A.T
+        self._pattern, self.N = None, sys.N
+        if sparse_factors(sys):
+            self._pattern = CscPattern(sys.n, (self._E, self._A))
+            self._Ep, self._Ap = self._pattern.values(self._E), self._pattern.values(self._A)
+            self.N = sp.csr_matrix(sys.N)  # the bilinear term of B2 and c2 at O(nnz)
         self.counts = {"factorizations": 0, "sigma_min_evals": 0}
         self._fov = None
 
     def _factor(self, z):
-        """LU of zE - A, real for real z; LinAlgError where it is numerically singular."""
-        G = z * self.sys.E - self.sys.A
-        lu = sla.lu_factor(G)
+        """Factors of zE - A, real for real z; LinAlgError where it is numerically singular.
+
+        A LAPACK LU tuple below the sparse cut, a SuperLU object from it on.
+        """
+        if self._pattern is None:
+            G = z * self.sys.E - self.sys.A
+            lu = sla.lu_factor(G)
+            gecon = sla.get_lapack_funcs("gecon", (lu[0],))
+            rcond, _ = gecon(lu[0], np.linalg.norm(G, 1), norm="1")
+        else:
+            data = z * self._Ep - self._Ap
+            try:
+                lu = self._pattern.splu(data)
+            except np.linalg.LinAlgError as exc:
+                raise np.linalg.LinAlgError(
+                    f"pencil sE - A singular at s = {complex(z)} ({exc})") from exc
+            rcond = 1.0 / (self._pattern.norm1(data) * _inv_norm1_estimate(lu, data.dtype))
         self.counts["factorizations"] += 1
-        gecon = sla.get_lapack_funcs("gecon", (lu[0],))
-        rcond, _ = gecon(lu[0], np.linalg.norm(G, 1), norm="1")
         if not rcond >= _EPS:
             raise np.linalg.LinAlgError(
                 f"pencil sE - A singular at s = {complex(z)} (rcond {rcond:.1e})")
@@ -111,7 +182,10 @@ class PencilSolver:
         return getattr(entry, item)
 
     def _lu(self, s):
-        return self._cached(s, "lu", self._factor)
+        """Complex factors of sE - A: cached below the sparse cut, fresh from it on."""
+        if self._pattern is None:
+            return self._cached(s, "lu", self._factor)
+        return self._factor(complex(s))
 
     def apply(self, s, x):
         """(sE - A) x from the sparse copies of E and A."""
@@ -119,7 +193,7 @@ class PencilSolver:
 
     def apply_t(self, s, x):
         """(sE - A)^T x (plain transpose) from the sparse copies of E and A."""
-        return complex(s) * (self._E.T @ x) - self._A.T @ x
+        return complex(s) * (self._Et @ x) - self._At @ x
 
     def _check_residual(self, s, x, b):
         if __debug__:
@@ -129,14 +203,14 @@ class PencilSolver:
                     f"solve at s={s} lost accuracy"
 
     def solve(self, s, b):
-        """Solve (sE - A) x = b with the LU cached at s."""
+        """Solve (sE - A) x = b with the complex factors at s."""
         b = np.asarray(b, dtype=complex)
-        x = sla.lu_solve(self._lu(s), b)
+        x = _lu_solve(self._lu(s), b)
         self._check_residual(s, x, b)
         return x
 
     def solve_once(self, s, b):
-        """Solve (sE - A) x = b for a point evaluation, from an LU that is not kept.
+        """Solve (sE - A) x = b for a point evaluation, from factors that are not kept.
 
         For real s and b the factorization and solve run in real arithmetic,
         at under half the cost of complex; x is returned complex either way.
@@ -146,15 +220,15 @@ class PencilSolver:
         key = complex(s)
         b = np.asarray(b, dtype=complex)
         if key.imag == 0 and not b.imag.any():
-            x = sla.lu_solve(self._factor(key.real), b.real).astype(complex)
+            x = _lu_solve(self._factor(key.real), b.real).astype(complex)
         else:
-            x = sla.lu_solve(self._factor(key), b)
+            x = _lu_solve(self._factor(key), b)
         self._check_residual(key, x, b)
         return x
 
     def solve_t(self, s, b):
         """Solve (sE - A)^T x = b (plain transpose)."""
-        return sla.lu_solve(self._lu(s), np.asarray(b, dtype=complex), trans=1)
+        return _lu_solve(self._lu(s), np.asarray(b, dtype=complex), trans=1)
 
     def x1(self, s):
         """x1(s) = (sE - A)^{-1} B, solved once per frequency (read-only)."""
@@ -249,6 +323,13 @@ class PencilSolver:
         return self._q2
 
 
+def _lu_solve(lu, b, trans=0):
+    """Solve with the factors of :meth:`PencilSolver._factor`; trans=1 solves with G^T."""
+    if isinstance(lu, tuple):
+        return sla.lu_solve(lu, b, trans=trans)
+    return lu.solve(b, trans="T" if trans else "N")
+
+
 def _solver(sys, solver):
     return solver if solver is not None else PencilSolver(sys)
 
@@ -268,7 +349,7 @@ def rhs_B2(sys, s1, s2, solver=None):
     solver = _solver(sys, solver)
     x1a = solve_x1(sys, s1, solver)
     x1b = solve_x1(sys, s2, solver)
-    return apply_quadratic(sys.Q, x1a, x1b) + 0.5 * (sys.N @ (x1a + x1b))
+    return apply_quadratic(sys.Q, x1a, x1b) + 0.5 * (solver.N @ (x1a + x1b))
 
 
 def solve_x2(sys, s1, s2, solver=None):
@@ -282,7 +363,7 @@ def solve_y2(sys, s1, s2, solver=None):
     solver = _solver(sys, solver)
     y1s = solve_y1(sys, s1 + s2, solver)
     x1b = solve_x1(sys, s2, solver)
-    c2 = apply_quadratic(solver.q2, x1b, y1s) + 0.5 * (sys.N.T @ y1s)
+    c2 = apply_quadratic(solver.q2, x1b, y1s) + 0.5 * (solver.N.T @ y1s)
     return solver.solve_t(s1, c2)
 
 

@@ -18,7 +18,7 @@ import scipy.sparse as sp
 from click.testing import CliRunner
 
 import qbmor
-from qbmor import QBSystem, load_system, save_system, sim
+from qbmor import QBSystem, load_system, qb_model, save_system
 from qbmor.cli import _system_sha256, main
 from qbmor.greedy import read_trace
 
@@ -401,7 +401,7 @@ class TestExitCodes:
     def test_singular_newton_jacobian_exit_numerical(self, tmp_path, flags):
         # E = I, A = 2 I from x0 = 1: every Newton Jacobian E/dt - A is zero at dt = 0.5,
         # on a system large enough for the sparse Newton path
-        n = sim.SPARSE_NEWTON_N
+        n = qb_model.SPARSE_FACTOR_N
         sysdir = tmp_path / "singular"
         save_system(QBSystem.from_operators(np.eye(n), 2.0 * np.eye(n), np.zeros((n, n)),
                                             sp.csr_matrix((n, n * n)), np.ones(n),
@@ -417,3 +417,22 @@ class TestExitCodes:
         assert out.returncode == 3, out.stderr
         assert out.stderr.startswith("error: singular Newton Jacobian")
         assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["python", "python -O"])
+def test_rk4_singular_mass_exit_numerical(tmp_path, flags):
+    # E = diag(1, 0): gecon's estimate on the LU of E is 0, so RK4 refuses to run
+    sysdir = tmp_path / "dae"
+    save_system(QBSystem.from_operators(np.diag([1.0, 0.0]), -np.eye(2), np.zeros((2, 2)),
+                                        sp.csr_matrix((2, 4)), np.ones(2), np.ones(2)), sysdir)
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, *flags, "-m", "qbmor.cli", "simulate",
+         "--system", str(sysdir), "--input", "zero", "--t-end", "1.0", "--dt", "0.1",
+         "--scheme", "rk4", "--out", str(tmp_path / "y.csv")],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert out.returncode == 3, out.stderr
+    assert out.stderr.startswith("error: rk4 requires invertible E")
+    assert "Traceback" not in out.stderr

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qbmor import benchmarks, greedy, projection, transfer
+from qbmor import benchmarks, greedy, projection, qb_model, transfer
 from qbmor.error_bound import BoundEvaluator
 from qbmor.greedy import GreedyConfig, default_grid, read_trace, run_greedy, write_trace
 from conftest import random_qb
@@ -223,8 +223,8 @@ def test_true_error_failure_skips_the_point():
     assert [rec[0] for rec in records] == [complex(s) for s in grid if complex(s) != bad]
 
 
-def test_solver_keeps_no_lu_at_validation_pair_sums(monkeypatch):
-    """Cached LUs sit only at grid points, selected points and selected pair sums."""
+def _greedy_and_solver(monkeypatch, sys_, cfg):
+    """run_greedy's result and the one PencilSolver it used."""
     solvers = []
     init = transfer.PencilSolver.__init__
 
@@ -233,11 +233,23 @@ def test_solver_keeps_no_lu_at_validation_pair_sums(monkeypatch):
         init(self, sys)
 
     monkeypatch.setattr(transfer.PencilSolver, "__init__", recording_init)
-    sys_ = benchmarks.burgers(20, 0.01)
-    cfg = GreedyConfig(sigma10=5.4124, sigma20=5.4124, S1=default_grid(), S2=default_grid(),
-                       eps_tol=1e-4, max_iters=10, validate_true_error=True)
     res = run_greedy(sys_, cfg)
     (solver,) = solvers
+    return res, solver
+
+
+def _burgers_200_greedy(monkeypatch):
+    """The reference-pair greedy on Burgers n=200, and the solver it used."""
+    cfg = GreedyConfig(sigma10=5.4124, sigma20=5.4124, S1=default_grid(), S2=default_grid(),
+                       eps_tol=1e-4, max_iters=10)
+    return _greedy_and_solver(monkeypatch, benchmarks.burgers(200, 0.01), cfg)
+
+
+def test_solver_keeps_no_lu_at_validation_pair_sums(monkeypatch):
+    """Cached LUs sit only at grid points, selected points and selected pair sums."""
+    cfg = GreedyConfig(sigma10=5.4124, sigma20=5.4124, S1=default_grid(), S2=default_grid(),
+                       eps_tol=1e-4, max_iters=10, validate_true_error=True)
+    res, solver = _greedy_and_solver(monkeypatch, benchmarks.burgers(20, 0.01), cfg)
     assert res.validation
     allowed = {complex(s) for s in np.concatenate([cfg.S1, cfg.S2])}
     allowed |= {complex(s) for pair in res.pairs for s in pair}
@@ -245,6 +257,25 @@ def test_solver_keeps_no_lu_at_validation_pair_sums(monkeypatch):
     cached = {s for s, entry in solver._cache.items() if entry.lu is not None}
     assert cached <= allowed
     assert len(cached) < len(res.validation)
+
+
+def test_sparse_greedy_caches_no_factors(monkeypatch):
+    res, solver = _burgers_200_greedy(monkeypatch)
+    assert res.converged and solver._pattern is not None
+    assert solver._cache and all(entry.lu is None for entry in solver._cache.values())
+
+
+def test_sparse_and_dense_greedy_select_the_same_pairs(monkeypatch):
+    sparse, _ = _burgers_200_greedy(monkeypatch)
+    monkeypatch.setattr(qb_model, "SPARSE_FACTOR_N", np.inf)
+    dense, solver = _burgers_200_greedy(monkeypatch)
+    assert solver._pattern is None
+    assert sparse.pairs == dense.pairs
+    assert ([(r.basis_size_V, r.basis_size_W) for r in sparse.trace]
+            == [(r.basis_size_V, r.basis_size_W) for r in dense.trace])
+    assert sparse.V.shape == dense.V.shape and sparse.W.shape == dense.W.shape
+    np.testing.assert_allclose([r.delta for r in sparse.trace],
+                               [r.delta for r in dense.trace], rtol=1e-6)
 
 
 def test_trace_counts_solver_work(rng, monkeypatch):

@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
-from qbmor import projection, transfer
+import scipy.sparse as sp
+
+from qbmor import benchmarks, projection, transfer
+from qbmor.qb_model import symmetrize_quadratic
 from qbmor.projection import (
     SingularReductionError,
     build_interpolation_bases,
@@ -81,6 +84,27 @@ class TestReduce:
         full = V.T @ sys.quadratic(V @ xr, V @ xr)
         red = rom.Qr @ np.kron(xr, xr)
         assert np.allclose(full, red, rtol=1e-12, atol=1e-13)
+
+    @pytest.mark.parametrize("chunk", [projection._QR_CHUNK, 1000], ids=["one chunk", "chunks"])
+    @pytest.mark.parametrize("sys", [
+        pytest.param(benchmarks.burgers(60, 0.01), id="burgers n=60"),
+        pytest.param(random_qb(15, np.random.default_rng(7), q_scale=1.0), id="random n=15"),
+    ])
+    def test_qr_from_triplets_matches_kron_assembly(self, sys, chunk, rng, monkeypatch):
+        monkeypatch.setattr(projection, "_QR_CHUNK", chunk)
+        n, r = sys.n, 9
+        V = np.linalg.qr(rng.standard_normal((n, r)))[0]
+        W = np.linalg.qr(V + 0.1 * rng.standard_normal((n, r)))[0]
+        rom = reduce(sys, V, W)
+        blocks = [W.T @ (sys.Q @ np.kron(V[:, a][:, None], V)) for a in range(r)]
+        want = symmetrize_quadratic(sp.csr_matrix(np.hstack(blocks))).toarray()
+        err = np.max(np.abs(rom.Qr.toarray() - want))
+        assert err <= 1e-13 * np.max(np.abs(want))
+
+    def test_empty_bases_give_empty_rom(self, rng):
+        sys = random_qb(5, rng)
+        rom = reduce(sys, np.zeros((5, 0)), np.zeros((5, 0)))
+        assert rom.r == 0 and rom.Qr.shape == (0, 0)
 
     def test_as_system_round_trips_operators(self, rng):
         sys = random_qb(6, rng)

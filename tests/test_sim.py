@@ -5,12 +5,11 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from qbmor import InputSignal, QBSystem, benchmarks, projection, sim
-from qbmor.qb_model import apply_quadratic
+from qbmor import InputSignal, QBSystem, benchmarks, projection, qb_model, sim
+from qbmor.qb_model import SPARSE_FACTOR_N, apply_quadratic
 from qbmor.sim import (
     NEWTON_MAX_STEPS,
     NEWTON_TOL,
-    SPARSE_NEWTON_N,
     SimulationError,
     Trajectory,
     _RunOperators,
@@ -125,7 +124,7 @@ def _dense_jacobian_oracle(sys, x):
 class TestQuadraticJacobian:
     @pytest.mark.parametrize("sys", list(_jacobian_systems()))
     def test_matches_dense_oracle_and_scatter(self, sys, monkeypatch):
-        monkeypatch.setattr(sim, "DENSE_Q_FILL", np.inf)  # the triplet form at every fill
+        monkeypatch.setattr(qb_model, "DENSE_Q_FILL", np.inf)  # the triplet form at every fill
         n = sys.n
         x = np.random.default_rng(n).standard_normal(n)
         ops = _RunOperators(sys)
@@ -136,12 +135,12 @@ class TestQuadraticJacobian:
 
     @pytest.mark.parametrize("sys", list(_jacobian_systems()))
     def test_csc_data_matches_scatter(self, sys, monkeypatch):
-        monkeypatch.setattr(sim, "DENSE_Q_FILL", np.inf)
-        monkeypatch.setattr(sim, "SPARSE_NEWTON_N", 1)
+        monkeypatch.setattr(qb_model, "DENSE_Q_FILL", np.inf)
+        monkeypatch.setattr(qb_model, "SPARSE_FACTOR_N", 1)
         x = np.random.default_rng(sys.n).standard_normal(sys.n)
         ops = _RunOperators(sys)
         assert ops.sparse
-        J = ops.pattern.copy()
+        J = ops.pattern.matrix.copy()
         J.data[:] = ops.quadratic_jacobian(x)
         assert np.array_equal(J.toarray(), _scatter_jacobian(sys.Q, x))
 
@@ -240,7 +239,7 @@ def _singular_newton_system(n):
 
 
 class TestSparseNewton:
-    """Full models: a gathered Q at every size, sparse Newton from SPARSE_NEWTON_N on."""
+    """Full models: a gathered Q at every size, sparse Newton from SPARSE_FACTOR_N on."""
 
     @pytest.mark.parametrize("sys", [
         pytest.param(benchmarks.rc_ladder(50), id="rc l=50"),
@@ -259,7 +258,7 @@ class TestSparseNewton:
         pytest.param(benchmarks.burgers(300, 0.01), True, id="burgers n=300 sparse"),
     ])
     def test_path_selection(self, sys, sparse, monkeypatch):
-        assert (sys.n >= SPARSE_NEWTON_N) == sparse
+        assert (sys.n >= SPARSE_FACTOR_N) == sparse
         ops = _RunOperators(sys)
         assert ops.sparse == sparse
         assert all(sp.issparse(M) == sparse for M in (ops.E, ops.A, ops.N))
@@ -271,7 +270,7 @@ class TestSparseNewton:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(sim.spla, "splu", counted("splu", sim.spla.splu))
+        monkeypatch.setattr(qb_model.spla, "splu", counted("splu", qb_model.spla.splu))
         monkeypatch.setattr(sim.np.linalg, "solve", counted("solve", sim.np.linalg.solve))
         simulate_qb(sys, InputSignal("exp_decay"), 0.05, 1e-2)
         assert (calls["splu"] > 0, calls["solve"] > 0) == (sparse, not sparse)
@@ -281,9 +280,9 @@ class TestSparseNewton:
         pytest.param(benchmarks.rc_ladder(100), InputSignal("exp_decay"), id="rc l=100"),
     ])
     def test_sparse_and_dense_newton_agree(self, sys, u, monkeypatch):
-        assert sys.n >= SPARSE_NEWTON_N
+        assert sys.n >= SPARSE_FACTOR_N
         sparse = simulate_qb(sys, u, 0.5, 1e-2)
-        monkeypatch.setattr(sim, "SPARSE_NEWTON_N", np.inf)
+        monkeypatch.setattr(qb_model, "SPARSE_FACTOR_N", np.inf)
         dense = simulate_qb(sys, u, 0.5, 1e-2)
         assert not (sparse.meta["diverged"] or dense.meta["diverged"])
         rel = np.max(np.abs(sparse.outputs - dense.outputs)) / np.max(np.abs(dense.outputs))
@@ -291,13 +290,13 @@ class TestSparseNewton:
 
     def test_full_model_ie_below_cut_bit_identical_to_solve_loop(self):
         sys = _sparse_system_nonsymmetric_mass()
-        assert sp.issparse(_run_quadratic(sys.Q)) and sys.n < SPARSE_NEWTON_N
+        assert sp.issparse(_run_quadratic(sys.Q)) and sys.n < SPARSE_FACTOR_N
         u = InputSignal("exp_decay")
         traj = simulate_qb(sys, u, 0.5, 1e-2)
         assert np.array_equal(traj.outputs,
                               _csr_reference(sys, u, 0.5, 1e-2, "implicit_euler"))
 
-    @pytest.mark.parametrize("n", [SPARSE_NEWTON_N - 1, SPARSE_NEWTON_N],
+    @pytest.mark.parametrize("n", [SPARSE_FACTOR_N - 1, SPARSE_FACTOR_N],
                              ids=["dense", "sparse"])
     def test_singular_jacobian_raises_simulation_error(self, n):
         with pytest.raises(SimulationError, match="singular Newton Jacobian"):

@@ -7,8 +7,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from qbmor import benchmarks, transfer
+from qbmor import QBSystem, benchmarks, qb_model, transfer
+from qbmor.qb_model import SPARSE_FACTOR_N, apply_quadratic
 from conftest import random_qb, scalar_qb
 
 
@@ -191,3 +193,81 @@ class TestPencilSolver:
         sys = random_qb(6, rng)
         assert np.allclose(transfer.rhs_B2(sys, 0.4, 1.6),
                            transfer.rhs_B2(sys, 1.6, 0.4), rtol=1e-12)
+
+
+def _pencil_values(sys, solver):
+    """x1, y1, x2, H2 and both dH2 partials at real, complex and conjugate points."""
+    out = []
+    for s1, s2 in [(5.4124, 5.4124), (1.0, 35.0), (2.0 + 3.0j, 0.7 - 1.0j)]:
+        out += [transfer.solve_x1(sys, s1, solver), transfer.solve_y1(sys, s1, solver),
+                transfer.solve_x2(sys, s1, s2, solver), transfer.H2(sys, s1, s2, solver),
+                transfer.dH2(sys, s1, s2, 1, solver), transfer.dH2(sys, s1, s2, 2, solver)]
+    return out
+
+
+class TestSparsePencil:
+    """Full models from SPARSE_FACTOR_N on: SuperLU factors, refactored for every solve."""
+
+    def test_sparse_and_dense_paths_agree(self, monkeypatch):
+        sys = benchmarks.burgers(200, 0.01)
+        assert qb_model.sparse_factors(sys)
+        sparse = transfer.PencilSolver(sys)
+        values = _pencil_values(sys, sparse)
+        assert sparse._pattern is not None
+        assert all(entry.lu is None for entry in sparse._cache.values())
+        monkeypatch.setattr(qb_model, "SPARSE_FACTOR_N", np.inf)
+        dense = transfer.PencilSolver(sys)
+        assert dense._pattern is None
+        for got, want in zip(values, _pencil_values(sys, dense)):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_numerically_singular_pencil_raises(self):
+        # lifted RC ladder l=64: A has rank 64 of 128, so sE - A is singular at s = 0
+        sys = benchmarks.rc_ladder(64)
+        assert sys.n == SPARSE_FACTOR_N and qb_model.sparse_factors(sys)
+        solver = transfer.PencilSolver(sys)
+        for solve in (lambda: transfer.solve_x1(sys, 0.0, solver),
+                      lambda: transfer.solve_y1(sys, 0.0, solver),
+                      lambda: solver.solve_once(0.0, sys.B)):
+            with pytest.raises(np.linalg.LinAlgError, match="singular"):
+                solve()
+        assert not solver._cache
+        transfer.solve_x1(sys, 1.0, solver)
+
+    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")  # dense lu_factor's
+    @pytest.mark.parametrize("n", [SPARSE_FACTOR_N - 1, SPARSE_FACTOR_N],
+                             ids=["dense", "sparse"])
+    def test_exactly_singular_pencil_raises(self, n):
+        # E = I, A = 2 I: sE - A is the zero matrix at s = 2
+        sys = QBSystem.from_operators(np.eye(n), 2.0 * np.eye(n), np.zeros((n, n)),
+                                      sp.csr_matrix((n, n * n)), np.ones(n), np.ones(n))
+        solver = transfer.PencilSolver(sys)
+        assert (solver._pattern is not None) == (n >= SPARSE_FACTOR_N)
+        with pytest.raises(np.linalg.LinAlgError, match="singular"):
+            transfer.solve_x1(sys, 2.0, solver)
+        with pytest.raises(np.linalg.LinAlgError, match="singular"):
+            solver.solve_once(2.0, sys.B)
+
+    def test_inverse_norm_estimate_is_a_lower_bound(self, rng):
+        sys = benchmarks.burgers(200, 0.01)
+        solver = transfer.PencilSolver(sys)
+        for z in (0.0, 5.4124, 1e4, 3.0 + 40.0j):
+            data = z * solver._Ep - solver._Ap
+            lu = solver._pattern.splu(data)
+            exact = np.linalg.norm(np.linalg.inv(z * sys.E - sys.A), 1)
+            est = transfer._inv_norm1_estimate(lu, data.dtype)
+            assert 0.3 * exact <= est <= exact * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("sys", [
+    pytest.param(benchmarks.burgers(200, 0.01), id="burgers n=200"),
+    pytest.param(benchmarks.rc_ladder(50), id="rc l=50"),
+    pytest.param(random_qb(9, np.random.default_rng(3), q_scale=1.0), id="random n=9"),
+])
+def test_gather_bit_identical_to_outer_product(sys):
+    g = np.random.default_rng(sys.n)
+    u, v = (g.standard_normal(sys.n) + 1j * g.standard_normal(sys.n) for _ in range(2))
+    for Q in (sys.Q, sys.mode2()):
+        assert np.array_equal(apply_quadratic(Q, u, v), Q @ np.multiply.outer(u, v).ravel())
+        assert np.array_equal(apply_quadratic(Q, u.real, v),
+                              Q @ np.multiply.outer(u.real, v).ravel())
