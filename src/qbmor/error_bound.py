@@ -27,27 +27,46 @@ compares beta with the complex ``svdvals`` on the benchmark grids and on
 such a decoupled system.
 
 The greedy needs the exact bound only at the maximizer of a grid scan;
-elsewhere num / beta_lb >= delta, with num = ||r_du|| ||r_pr|| from
-:meth:`BoundEvaluator.parts_1` / :meth:`BoundEvaluator.parts_2` and the
+elsewhere num / beta_lb >= delta, with num = ||r_du|| ||r_pr|| and the
 certified beta_lb <= beta of ``PencilSolver.sigma_min_lower``, can rule a
-point out (see ``greedy._scan``).  Residuals use sparse products with E
-and A held by the same solver.
+point out (see ``greedy._scan``).  A scan evaluates its whole grid in one
+batch (:meth:`BoundEvaluator.scan_1`, :meth:`BoundEvaluator.scan_2`): the
+reduced primal and dual systems of the points are one stacked
+``np.linalg.solve`` each per stack of up to 2^13 pencil entries (the whole
+grid while r <= 12), and the residuals take one GEMM per side with the
+n x 2r blocks [E V, A V] and [E^T W, A^T W], formed from the solver's
+sparse E and A whenever the bases are set.  delta2's right-hand sides
+B2(s1, s) over the grid points s are one sparse product with the n x n
+operator Q(x1(s1) kron .) and one with N, on the cached x1(s) columns.  A
+point whose x1 or reduced solve fails is skipped, as NaN, with a warning;
+if the stacked solve fails, that batch is solved point by point.  The
+per-point methods (``parts_1``, ``delta2``, ``h1_rom``, ...) are batches of
+one.
 
-The true errors that validate the bound take the full model's H1 from the
-cached x1(s), and its H2 from one B2(s1, s2), shared with the reduced H2,
-and a one-shot solve (``PencilSolver.solve_once``) at s1 + s2: apart from
-the selected pair, no other solve uses those pair sums, so a cached LU there
-would only hold memory.
+The true errors that validate the bound reuse the scan's batch: the full
+model's H1 is C X1 on the same x1 columns, the reduced transfer values come
+from the same stacked solve, and the full H2 takes one solve with the
+batch's B2 at each pair sum s1 + s.  That solve is one-shot
+(``PencilSolver.solve_once``): no other solve uses those pair sums, so a
+cached LU there would only hold memory.  The exception is the pair the scan
+selects, which the next enrichment solves at: there it goes through the
+solver's LU cache, so the pair sum is factored once.
 """
 
 from __future__ import annotations
 
+import contextlib
+import warnings
+from dataclasses import dataclass
+
 import numpy as np
 import scipy.linalg as sla  # noqa: F401  (the benchmark tracer wraps kernels here)
+import scipy.sparse as sp
 
 from . import projection, transfer
+from .qb_model import quadratic_gather
 
-__all__ = ["beta", "BoundEvaluator", "BoundValue"]
+__all__ = ["beta", "BoundEvaluator", "BoundValue", "ScanBatch"]
 
 
 def beta(sys, s, solver=None):
@@ -67,23 +86,98 @@ class BoundValue:
         return f"BoundValue(delta1={self.delta1:.3e}, delta2={self.delta2:.3e})"
 
 
+@dataclass
+class ScanBatch:
+    """The shared work of one grid scan, one entry per point.
+
+    nums holds the numerators ||r_du|| ||r_pr|| of the bound (NaN at a
+    skipped point) and z the frequencies of their pencils.  The true errors
+    reuse h_rom, the subsystem ROM's transfer values, with the full model's
+    H1 in h_full (scan 1) or the right-hand sides B2 of its H2 solves as the
+    columns of rhs (scan 2).
+    """
+
+    nums: np.ndarray
+    z: np.ndarray
+    h_rom: np.ndarray
+    h_full: np.ndarray | None = None
+    rhs: np.ndarray | None = None
+
+
+# pencil entries per stacked reduced solve (128 KiB of complex), so that a
+# scan's temporaries do not grow with the grid: a full-grid stack raised the
+# peak memory of the RC l=50 reference build by 0.6 MB
+_STACK_ENTRIES = 1 << 13
+
+
+def _one(s):
+    """A batch of one frequency."""
+    return np.array([complex(s)])
+
+
+def _spread(ok, a):
+    """a, whose last axis runs over the points where ok, NaN-padded to all points (a if all ok)."""
+    if ok.all():
+        return a
+    out = np.full(a.shape[:-1] + ok.shape, np.nan, dtype=np.result_type(a, float))
+    out[..., ok] = a
+    return out
+
+
 class _ReducedPair:
-    """The ROM of one subsystem: its square bases and reduced linear operators."""
+    """The ROM of one subsystem: square bases, reduced linear operators and residual blocks.
 
-    def __init__(self, sys, V, W):
-        self.V, self.W = projection.square_bases(V, W)
-        self.E, self.A, _, self.C = projection.project_linear(sys, self.V, self.W)
+    (zE - A) V x = [E V, A V] [z x; -x], and likewise for W with E^T and
+    A^T, so the n x 2r blocks kept here give a batch's residuals in one GEMM
+    per side.
+    """
 
-    def transfer(self, z, b):
-        """C_r (zE_r - A_r)^{-1} W^T b (0 for empty bases)."""
-        return self.C @ np.linalg.solve(z * self.E - self.A, self.W.T @ b)
+    def __init__(self, solver, V, W):
+        V, self.W = projection.square_bases(V, W)
+        self.E, self.A, _, self.C = projection.project_linear(solver.sys, V, self.W)
+        self._EA_V = np.hstack([solver.E @ V, solver.A @ V])
+        self._EA_W = np.hstack([solver.E.T @ self.W, solver.A.T @ self.W])
+        self._c = solver.sys.C[:, None]
 
-    def residuals(self, solver, z, b):
-        """Primal residual b - (zE - A) V x_r and dual -C^T - (zE - A)^T W y_r."""
-        G = z * self.E - self.A
-        x = np.linalg.solve(G, self.W.T @ b)
-        y = np.linalg.solve(G.T, -self.C)
-        return b - solver.apply(z, self.V @ x), -solver.sys.C - solver.apply_t(z, self.W @ y)
+    def residuals(self, z, b):
+        """Primal residuals b - (zE - A) V x_r, duals -C^T - (zE - A)^T W y_r, and C_r x_r.
+
+        z holds m pencil frequencies and b the right-hand sides, n x m (or
+        n x 1, shared by all); the residuals are n x m.  The reduced primal
+        and dual systems are one stacked solve each, which raises
+        ``LinAlgError`` if any reduced pencil is singular.
+        """
+        G = z[:, None, None] * self.E
+        G -= self.A  # in place: the stack is the largest array of a scan
+        x = np.linalg.solve(G, (self.W.T @ b).T[..., None])[..., 0].T
+        y = np.linalg.solve(G.transpose(0, 2, 1), -self.C[None, :, None])[..., 0].T
+        r_pr = b - self._EA_V @ np.vstack([x * z, -x])
+        r_du = -self._c - self._EA_W @ np.vstack([y * z, -y])
+        return r_pr, r_du, self.C @ x
+
+    def bound_parts(self, z, b):
+        """(||r_pr|| ||r_du||, C_r x_r) at each frequency of z, as :meth:`residuals`."""
+        r_pr, r_du, h = self.residuals(z, b)
+        return np.linalg.norm(r_pr, axis=0) * np.linalg.norm(r_du, axis=0), h
+
+    def scan(self, z, b):
+        """:meth:`bound_parts`, NaN at the frequencies whose reduced pencil is singular.
+
+        The frequencies go in stacks of at most _STACK_ENTRIES pencil
+        entries; a stack that raises is solved point by point.
+        """
+        b = np.broadcast_to(b, (b.shape[0], z.size))
+        nums, h = np.full(z.size, np.nan), np.full(z.size, np.nan, dtype=complex)
+        step = max(1, _STACK_ENTRIES // max(1, self.E.size))
+        for c in range(0, z.size, step):
+            stack = slice(c, c + step)
+            try:
+                nums[stack], h[stack] = self.bound_parts(z[stack], b[:, stack])
+            except np.linalg.LinAlgError:
+                for i in range(c, min(c + step, z.size)):
+                    with contextlib.suppress(np.linalg.LinAlgError):
+                        (nums[i],), (h[i],) = self.bound_parts(z[i:i + 1], b[:, i:i + 1])
+        return nums, h
 
 
 class BoundEvaluator:
@@ -92,7 +186,10 @@ class BoundEvaluator:
     Bases are replaced wholesale via set_bases_1/set_bases_2 (the greedy
     loop re-sets them after each extension); sigma_min values live in the
     solver's per-frequency cache, shared between delta1 at s and delta2 at
-    pairs summing to s.
+    pairs summing to s.  :meth:`scan_1` and :meth:`scan_2` evaluate a whole
+    grid in one batch and skip, with a warning, a point where a solve
+    fails; the per-point methods are batches of one and raise
+    ``LinAlgError`` there instead.
     """
 
     def __init__(self, sys, solver=None):
@@ -103,25 +200,99 @@ class BoundEvaluator:
         self.set_bases_2(np.zeros((n, 0)), np.zeros((n, 0)))
 
     def set_bases_1(self, V1, W1):
-        self._sub1 = _ReducedPair(self.sys, V1, W1)
+        self._sub1 = _ReducedPair(self.solver, V1, W1)
 
     def set_bases_2(self, V2, W2):
-        self._sub2 = _ReducedPair(self.sys, V2, W2)
+        self._sub2 = _ReducedPair(self.solver, V2, W2)
 
     def beta(self, s):
         val = self.solver.cached_sigma_min(s)
         return beta(self.sys, s, self.solver) if val is None else val
 
-    # -- subsystem 1: pencil at s, right-hand side B ----------------------
+    # -- grid scans: one batch per grid ------------------------------------
+
+    def scan_1(self, points):
+        """The delta1 batch at grid points s: pencil at s, right-hand side B.
+
+        The true errors' H1 = C X1 comes from the solver's cached x1(s)
+        columns X1; a point whose x1 fails is skipped.
+        """
+        X1, ok = self._x1_columns(points)
+        return self._batch(self._sub1, points, np.asarray(points, dtype=complex),
+                           self.sys.B[:, None], ok, h_full=self.sys.C @ X1)
+
+    def scan_2(self, s1, points):
+        """The delta2 batch at pairs (s1, s) for grid points s: pencil at s1 + s, rhs B2(s1, s).
+
+        B2 = Q (x1(s1) kron X1) + N (x1(s1) + X1) / 2 for the solver's
+        cached x1(s) columns X1, with the quadratic term one sparse n x n
+        operator, T(i, j, k) x1(s1)_j at (i, k), built from Q's triplets.  A
+        point whose x1 fails is skipped.
+        """
+        B2, ok = self._rhs_2(s1, points)
+        z = complex(s1) + np.asarray(points, dtype=complex)
+        return self._batch(self._sub2, points, z, B2, ok, rhs=B2)
+
+    def _rhs_2(self, s1, points):
+        """B2(s1, s) as columns at the points s where x1(s) exists, and that mask."""
+        X1, ok = self._x1_columns(points)
+        u = self.solver.x1(s1)
+        i, j, k, Qg = quadratic_gather(self.sys.Q)
+        Qu = sp.csr_matrix((Qg.data * u[j], (i, k)), shape=(self.sys.n, self.sys.n))
+        return Qu @ X1 + 0.5 * (self.solver.N @ (u[:, None] + X1)), ok
+
+    def _x1_columns(self, points):
+        """The cached x1(s) as columns at the points where sE - A is regular, and that mask."""
+        ok = np.ones(len(points), dtype=bool)
+        cols = []
+        for i, s in enumerate(points):
+            try:
+                cols.append(self.solver.x1(s))
+            except np.linalg.LinAlgError:
+                ok[i] = False
+        return np.array(cols, dtype=complex).reshape(-1, self.sys.n).T, ok
+
+    def _batch(self, sub, points, z, b, ok, h_full=None, rhs=None):
+        """The ScanBatch of sub at the points where ok, with b, h_full and rhs given there.
+
+        Every other point, and every point whose reduced pencil is
+        singular, is skipped with a warning.
+        """
+        nums, h_rom = sub.scan(z[ok], b)
+        nums = _spread(ok, nums)
+        for s, num in zip(points, nums):
+            if np.isnan(num):
+                warnings.warn(f"skipping sample point {s}: singular pencil")
+        return ScanBatch(nums, z, _spread(ok, h_rom),
+                         None if h_full is None else _spread(ok, h_full),
+                         None if rhs is None else _spread(ok, rhs))
+
+    def true_error_at(self, batch, i, cached=False):
+        """|H - H_rom| at point i of a scan batch.
+
+        H is H1 from the batch, or H2 = C x2 from one solve with the batch's
+        B2 at the pair sum: one-shot (``PencilSolver.solve_once``), or with
+        cached through the solver's LU cache, for a pair sum that the next
+        enrichment solves at too.
+        """
+        if batch.rhs is None:
+            h = batch.h_full[i]
+        else:
+            solve = self.solver.solve if cached else self.solver.solve_once
+            h = self.sys.C @ solve(batch.z[i], batch.rhs[:, i])
+        return abs(h - batch.h_rom[i])
+
+    # -- subsystem 1 at one point: pencil at s, right-hand side B ----------
 
     def residuals_1(self, s):
         """Primal and dual residuals of the reduced first subsystem."""
-        return self._sub1.residuals(self.solver, s, self.sys.B)
+        r_pr, r_du, _ = self._sub1.residuals(_one(s), self.sys.B[:, None])
+        return r_pr[:, 0], r_du[:, 0]
 
     def parts_1(self, s):
         """(||r_pr|| ||r_du||, s): delta1's numerator and its pencil frequency."""
-        r_pr, r_du = self.residuals_1(s)
-        return np.linalg.norm(r_pr) * np.linalg.norm(r_du), complex(s)
+        nums, _ = self._sub1.bound_parts(_one(s), self.sys.B[:, None])
+        return nums[0], complex(s)
 
     def delta1(self, s):
         num, z = self.parts_1(s)
@@ -129,22 +300,27 @@ class BoundEvaluator:
 
     def h1_rom(self, s):
         """Transfer function of the reduced first subsystem (0 for empty bases)."""
-        return self._sub1.transfer(s, self.sys.B)
+        return self._sub1.bound_parts(_one(s), self.sys.B[:, None])[1][0]
 
     def true_error_1(self, s):
         return abs(transfer.H1(self.sys, s, self.solver) - self.h1_rom(s))
 
-    # -- subsystem 2: pencil at s1 + s2, right-hand side B2(s1, s2) -------
+    # -- subsystem 2 at one pair: pencil at s1 + s2, right-hand side B2 -----
+
+    def _pair(self, s1, s2):
+        """The pencil frequency s1 + s2 and B2(s1, s2), as a batch of one."""
+        return (_one(complex(s1) + complex(s2)),
+                transfer.rhs_B2(self.sys, s1, s2, self.solver)[:, None])
 
     def residuals_2(self, s1, s2):
         """Primal and dual residuals of the reduced second subsystem."""
-        b2 = transfer.rhs_B2(self.sys, s1, s2, self.solver)
-        return self._sub2.residuals(self.solver, complex(s1) + complex(s2), b2)
+        r_pr, r_du, _ = self._sub2.residuals(*self._pair(s1, s2))
+        return r_pr[:, 0], r_du[:, 0]
 
     def parts_2(self, s1, s2):
         """(||r_pr|| ||r_du||, s1 + s2): delta2's numerator and its pencil frequency."""
-        r_pr, r_du = self.residuals_2(s1, s2)
-        return np.linalg.norm(r_pr) * np.linalg.norm(r_du), complex(s1) + complex(s2)
+        z, b2 = self._pair(s1, s2)
+        return self._sub2.bound_parts(z, b2)[0][0], z[0]
 
     def delta2(self, s1, s2):
         num, z = self.parts_2(s1, s2)
@@ -152,14 +328,13 @@ class BoundEvaluator:
 
     def h2_rom(self, s1, s2):
         """Second transfer function of the reduced second subsystem."""
-        b2 = transfer.rhs_B2(self.sys, s1, s2, self.solver)
-        return self._sub2.transfer(complex(s1) + complex(s2), b2)
+        return self._sub2.bound_parts(*self._pair(s1, s2))[1][0]
 
     def true_error_2(self, s1, s2):
         """|H2 - H2_rom| at (s1, s2), both from one B2(s1, s2); the full H2 solve is one-shot."""
-        ssum = complex(s1) + complex(s2)
-        b2 = transfer.rhs_B2(self.sys, s1, s2, self.solver)
-        return abs(self.sys.C @ self.solver.solve_once(ssum, b2) - self._sub2.transfer(ssum, b2))
+        z, b2 = self._pair(s1, s2)
+        h_rom = self._sub2.bound_parts(z, b2)[1][0]
+        return abs(self.sys.C @ self.solver.solve_once(z[0], b2[:, 0]) - h_rom)
 
     def bound(self, s1, s2):
         return BoundValue(self.delta1(s1), self.delta2(s1, s2))

@@ -10,10 +10,12 @@ Petrov-Galerkin reduction.
 from __future__ import annotations
 
 import csv
+import functools
 import time
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -150,25 +152,26 @@ def run_greedy(sys, cfg):
         bases = projection.enrich(sys, bases, s1, s2, solver)
         V1, W1, V2, W2 = bases
         ev.set_bases_1(V1, W1)
-
-        s1_next, delta1_max, rec1 = _scan(
-            ev.parts_1, ev.true_error_1 if cfg.validate_true_error else None,
-            cfg.S1, used1, ev)
-
+        s1_next, delta1_max, scan1 = _scan(ev.scan_1, cfg.S1, used1, ev)
         ev.set_bases_2(V2, W2)
-
-        s2_next, delta2_max, rec2 = _scan(
-            lambda s: ev.parts_2(s1_next, s),
-            (lambda s: ev.true_error_2(s1_next, s)) if cfg.validate_true_error else None,
-            cfg.S2, used2, ev)
-        validation.extend((it, "delta1", s, b, t) for s, b, t in rec1)
-        validation.extend((it, "delta2", (s1_next, s), b, t) for s, b, t in rec2)
+        s2_next, delta2_max, scan2 = _scan(
+            functools.partial(ev.scan_2, s1_next), cfg.S2, used2, ev)
 
         V, W = projection.combine(bases)
 
         eps = delta1_max + delta2_max
-        true_max = (max([0.0] + [t for *_, t in rec1]) + max([0.0] + [t for *_, t in rec2])
-                    if cfg.validate_true_error else None)
+        converged = eps <= cfg.eps_tol
+        stall = stall + 1 if eps >= prev_delta else 0
+        stagnated = not converged and stall >= STAGNATION_WINDOW
+        true_max = None
+        if cfg.validate_true_error:
+            # the next iteration enriches at the selected pair, solving at its sum
+            goes_on = not (converged or stagnated) and it < cfg.max_iters
+            rec1 = _records(ev.true_error_at, scan1)
+            rec2 = _records(ev.true_error_at, scan2, cache_selected=goes_on)
+            validation.extend((it, "delta1", s, b, t) for s, b, t in rec1)
+            validation.extend((it, "delta2", (s1_next, s), b, t) for s, b, t in rec2)
+            true_max = max([0.0] + [t for *_, t in rec1]) + max([0.0] + [t for *_, t in rec2])
         trace.append(TraceRow(
             iter=it, sigma1=s1, sigma2=s2,
             delta1_max=delta1_max, delta2_max=delta2_max, delta=eps,
@@ -178,18 +181,11 @@ def run_greedy(sys, cfg):
             **{k: v - counts0[k] for k, v in solver.counts.items()},
         ))
 
-        if eps <= cfg.eps_tol:
-            converged = True
+        if converged:
             break
-        if eps >= prev_delta:
-            stall += 1
-            if stall >= STAGNATION_WINDOW:
-                stagnated = True
-                warnings.warn(
-                    f"greedy stagnated after {it} iterations (delta {eps:.3e})")
-                break
-        else:
-            stall = 0
+        if stagnated:
+            warnings.warn(f"greedy stagnated after {it} iterations (delta {eps:.3e})")
+            break
         prev_delta = eps
         s1, s2 = s1_next, s2_next
 
@@ -199,34 +195,37 @@ def run_greedy(sys, cfg):
                         validation=validation)
 
 
-def _scan(parts_fn, true_fn, grid, used, ev):
-    """Lazy certified grid scan; returns (argmax point, max bound, records).
+class _Scanned(NamedTuple):
+    """A finished scan: its points, their bounds (NaN where skipped), its batch and argmax."""
 
-    parts_fn(s) gives the numerator of the bound at a grid point and the
-    frequency z of its pencil: the bound is num / sigma_min(zE - A).  With
-    the certified beta_lb(z) <= sigma_min of ``PencilSolver.sigma_min_lower``,
-    num / beta_lb (+inf where beta_lb <= 0) is an upper bound.  Points are
-    visited in decreasing upper bound, each taking its exact bound
-    num / ev.beta(z), until the best exact bound is strictly greater than
-    the next upper bound.  No point left can reach it, so the maximum and
-    its point (ties to the first index) are the exhaustive scan's, as the
-    same floats, with sigma_min computed only at the points visited.
+    points: list
+    bounds: np.ndarray
+    batch: object
+    selected: int
 
-    records holds a (point, bound, true_error) tuple for every point whose
-    bound and true-error evaluations succeeded, or nothing without true_fn;
-    the bound is the exact one where the scan computed it, else the upper
-    bound.
+
+def _scan(batch_fn, grid, used, ev):
+    """Lazy certified grid scan; returns (argmax point, max bound, _Scanned).
+
+    batch_fn(points) evaluates the candidate points in one batch
+    (``BoundEvaluator.scan_1``/``scan_2``): a ScanBatch with the numerator
+    of the bound at each point, NaN where the point is skipped, and the
+    frequency z of its pencil, so the bound is num / sigma_min(zE - A).
+    With the certified beta_lb(z) <= sigma_min of
+    ``PencilSolver.sigma_min_lower``, num / beta_lb (+inf where
+    beta_lb <= 0) is an upper bound.  Points are visited in decreasing upper
+    bound, each taking its exact bound num / ev.beta(z), until the best
+    exact bound is strictly greater than the next upper bound.  No point
+    left can reach it, so the maximum and its point (ties to the first
+    index) are the exhaustive scan's, as the same floats, with sigma_min
+    computed only at the points visited.  A point's bound is the exact one
+    where the scan computed it, else the upper bound.
     """
     candidates = [s for s in grid if complex(s) not in used]
     if not candidates:
         candidates = list(grid)
-    nums = np.full(len(candidates), np.nan)
-    zs = np.zeros(len(candidates), dtype=complex)
-    for i, s in enumerate(candidates):
-        try:
-            nums[i], zs[i] = parts_fn(s)
-        except np.linalg.LinAlgError:
-            warnings.warn(f"skipping sample point {s}: singular pencil")
+    batch = batch_fn(candidates)
+    nums, zs = batch.nums, batch.z
     lower = ev.solver.sigma_min_lower(zs)
     with np.errstate(divide="ignore", invalid="ignore"):
         vals = np.where(lower > 0, nums / lower, np.inf)
@@ -246,15 +245,27 @@ def _scan(parts_fn, true_fn, grid, used, ev):
         if np.isfinite(exact[i]):
             best = max(best, exact[i])
     i, best = _argmax_scan(exact)
+    return complex(candidates[i]), best, _Scanned(candidates, vals, batch, i)
+
+
+def _records(true_fn, scanned, cache_selected=False):
+    """(point, bound, true error) at every point of a scan whose bound is finite.
+
+    true_fn(batch, i, cached) is the true error at point i from the scan's
+    batch (``BoundEvaluator.true_error_at``); cached is set at the selected
+    point if cache_selected.  A point whose true error fails is skipped with
+    a warning.
+    """
     records = []
-    if true_fn is not None:
-        for s, v in zip(candidates, vals):
-            if np.isfinite(v):
-                try:
-                    records.append((complex(s), v, true_fn(s)))
-                except np.linalg.LinAlgError:
-                    warnings.warn(f"skipping sample point {s}: singular pencil")
-    return complex(candidates[i]), best, records
+    for i, (s, bound) in enumerate(zip(scanned.points, scanned.bounds)):
+        if np.isfinite(bound):
+            try:
+                true = true_fn(scanned.batch, i, cache_selected and i == scanned.selected)
+            except np.linalg.LinAlgError:
+                warnings.warn(f"skipping sample point {s}: singular pencil")
+                continue
+            records.append((complex(s), bound, true))
+    return records
 
 
 def reduce_final(sys, V, W):

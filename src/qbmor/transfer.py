@@ -119,7 +119,7 @@ class PencilSolver:
     frequencies would set its memory peak.  Below the cut, one dense LAPACK
     LU per frequency serves x1-type solves and transposed y1-type solves
     alike.  :meth:`solve_once` factors without caching, for point
-    evaluations.
+    evaluations.  E and A are also held as CSR, for products with them.
 
     A frequency where sE - A is numerically singular raises
     ``np.linalg.LinAlgError``: the reciprocal condition estimate
@@ -137,12 +137,12 @@ class PencilSolver:
         self.sys = sys
         self._cache = {}
         self._q2 = None
-        self._E, self._A = sp.csr_matrix(sys.E), sp.csr_matrix(sys.A)
-        self._Et, self._At = self._E.T, self._A.T
+        self.E, self.A = sp.csr_matrix(sys.E), sp.csr_matrix(sys.A)
+        self._Et, self._At = self.E.T, self.A.T
         self._pattern, self.N = None, sys.N
         if sparse_factors(sys):
-            self._pattern = CscPattern(sys.n, (self._E, self._A))
-            self._Ep, self._Ap = self._pattern.values(self._E), self._pattern.values(self._A)
+            self._pattern = CscPattern(sys.n, (self.E, self.A))
+            self._Ep, self._Ap = self._pattern.values(self.E), self._pattern.values(self.A)
             self.N = sp.csr_matrix(sys.N)  # the bilinear term of B2 and c2 at O(nnz)
         self.counts = {"factorizations": 0, "sigma_min_evals": 0}
         self._fov = None
@@ -189,7 +189,7 @@ class PencilSolver:
 
     def apply(self, s, x):
         """(sE - A) x from the sparse copies of E and A."""
-        return complex(s) * (self._E @ x) - self._A @ x
+        return complex(s) * (self.E @ x) - self.A @ x
 
     def apply_t(self, s, x):
         """(sE - A)^T x (plain transpose) from the sparse copies of E and A."""

@@ -5,11 +5,12 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from qbmor import benchmarks, transfer
+from qbmor import benchmarks, projection, transfer
 from qbmor.error_bound import BoundEvaluator, BoundValue, beta
 from qbmor.greedy import default_grid
 from qbmor.qb_model import QBSystem
 from conftest import random_qb
+from test_greedy import _LAZY_SCAN_CASES
 
 
 def test_beta_is_inverse_resolvent_norm(rng):
@@ -224,3 +225,64 @@ def test_interpolation_points_have_tiny_residuals(rng):
     r_pr, _ = ev.residuals_1(s0)
     assert np.linalg.norm(r_pr) <= 1e-8 * np.linalg.norm(sys.B)
     assert ev.true_error_1(s0) <= 1e-9
+
+
+def _per_point(solver, V, W, z, b):
+    """The bound's numerator and C_r x_r at one point, one solve and sparse product at a time."""
+    V, W = projection.square_bases(V, W)
+    Er, Ar, _, Cr = projection.project_linear(solver.sys, V, W)
+    G = z * Er - Ar
+    x = np.linalg.solve(G, W.T @ b)
+    y = np.linalg.solve(G.T, -Cr)
+    r_pr = b - solver.apply(z, V @ x)
+    r_du = -solver.sys.C - solver.apply_t(z, W @ y)
+    return np.linalg.norm(r_pr) * np.linalg.norm(r_du), Cr @ x
+
+
+@pytest.mark.parametrize("name", sorted(_LAZY_SCAN_CASES))
+def test_scan_batches_match_per_point_evaluation(name):
+    """Batched numerators, reduced transfer values and true errors against point-by-point ones.
+
+    The reference evaluates each point on its own: two reduced solves, the
+    residuals from sparse products, B2 from ``transfer.rhs_B2``, H1 from x1
+    and H2 from a one-shot solve.  The batch of one of the per-point methods
+    is checked too.  Numerators may differ by 1e-10 times the largest
+    numerator on the grid, transfer values and true errors by 1e-10 times
+    the largest |H|.
+    """
+    make, sigma0, _ = _LAZY_SCAN_CASES[name]
+    sys_ = make()
+    solver = transfer.PencilSolver(sys_)
+    grid = default_grid()
+    V1, W1, V2, W2 = projection.subsystem_bases(sys_, [(sigma0, sigma0), (grid[10], grid[30])],
+                                                solver)
+    ev = BoundEvaluator(sys_, solver)
+    ev.set_bases_1(V1, W1)
+    ev.set_bases_2(V2, W2)
+    s1 = grid[20]
+
+    def reference_1(s):
+        num, h_rom = _per_point(solver, V1, W1, complex(s), sys_.B)
+        return num, h_rom, sys_.C @ solver.x1(s)
+
+    def reference_2(s):
+        z, b2 = complex(s1) + complex(s), transfer.rhs_B2(sys_, s1, s, solver)
+        num, h_rom = _per_point(solver, V2, W2, z, b2)
+        return num, h_rom, sys_.C @ solver.solve_once(z, b2)
+
+    scans = [(ev.scan_1(grid), reference_1,
+              lambda s: (ev.parts_1(s)[0], ev.h1_rom(s), ev.true_error_1(s))),
+             (ev.scan_2(s1, grid), reference_2,
+              lambda s: (ev.parts_2(s1, s)[0], ev.h2_rom(s1, s), ev.true_error_2(s1, s)))]
+    for batch, reference, one in scans:
+        num, h_rom, h = np.array([reference(s) for s in grid]).T
+        true = np.abs(h - h_rom)
+        tol_num, tol_h = 1e-10 * num.real.max(), 1e-10 * np.abs(h).max()
+        assert np.abs(batch.nums - num).max() <= tol_num
+        assert np.abs(batch.h_rom - h_rom).max() <= tol_h
+        batch_true = [ev.true_error_at(batch, i) for i in range(len(grid))]
+        assert np.abs(batch_true - true).max() <= tol_h
+        one_num, one_h_rom, one_true = np.array([one(s) for s in grid]).T
+        assert np.abs(one_num - num).max() <= tol_num
+        assert np.abs(one_h_rom - h_rom).max() <= tol_h
+        assert np.abs(one_true - true).max() <= tol_h

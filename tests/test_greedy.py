@@ -1,6 +1,7 @@
 """Greedy selection loop tests: convergence, validity, determinism, trace I/O."""
 
 import dataclasses
+import functools
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from qbmor import benchmarks, greedy, projection, qb_model, transfer
 from qbmor.error_bound import BoundEvaluator
@@ -213,13 +215,14 @@ def test_true_error_failure_skips_the_point():
     grid = default_grid(num=10)
     bad = complex(grid[3])
 
-    def true_fn(s):
-        if complex(s) == bad:
+    def true_fn(batch, i, cached):
+        if complex(grid[i]) == bad:
             raise np.linalg.LinAlgError("singular")
-        return ev.true_error_1(s)
+        return ev.true_error_at(batch, i, cached)
 
+    _, _, scanned = greedy._scan(ev.scan_1, grid, set(), ev)
     with pytest.warns(UserWarning, match="skipping sample point"):
-        _, _, records = greedy._scan(ev.parts_1, true_fn, grid, set(), ev)
+        records = greedy._records(true_fn, scanned)
     assert [rec[0] for rec in records] == [complex(s) for s in grid if complex(s) != bad]
 
 
@@ -304,23 +307,18 @@ def test_trace_counts_solver_work(rng, monkeypatch):
     assert all(1 <= n < len(grid) for n in not_ruled_out)
 
 
-def _exhaustive_scan(parts_fn, true_fn, grid, used, ev):
-    """Reference scan: the exact bound num / sigma_min at every candidate."""
+def _exhaustive_scan(batch_fn, grid, used, ev):
+    """Reference scan: the same batch numerators over the exact sigma_min at every candidate."""
     candidates = [s for s in grid if complex(s) not in used] or list(grid)
+    batch = batch_fn(candidates)
     vals = []
-    for s in candidates:
+    for num, z in zip(batch.nums, batch.z):
         try:
-            num, z = parts_fn(s)
-            vals.append(num / ev.beta(z))
+            vals.append(num / ev.beta(z) if np.isfinite(num) else np.nan)
         except np.linalg.LinAlgError:
             vals.append(np.nan)
     i, best = greedy._argmax_scan(vals)
-    records = []
-    if true_fn is not None:
-        for s, v in zip(candidates, vals):
-            if np.isfinite(v):
-                records.append((complex(s), v, true_fn(s)))
-    return complex(candidates[i]), best, records
+    return complex(candidates[i]), best, greedy._Scanned(candidates, np.array(vals), batch, i)
 
 
 _LAZY_SCAN_CASES = {
@@ -354,6 +352,100 @@ def test_lazy_scan_matches_exhaustive_scan(name, monkeypatch):
         ref_bound, ref_true = exact[it, kind, point]
         assert bound >= ref_bound and true == ref_true
     assert sum(r.sigma_min_evals for r in lazy.trace) < sum(r.sigma_min_evals for r in ref.trace)
+
+
+# default_grid() indices of the pairs after the start pair, and the basis sizes
+# per iteration, that the benchmark's reference builds selected with one bound
+# evaluation per grid point
+_REFERENCE_BUILDS = {
+    "rc_ladder": (lambda: benchmarks.rc_ladder(50), 119.5642, 1e-5,
+                  [(0, 0), (9, 1), (16, 2), (3, 3), (34, 4), (6, 23), (20, 12)],
+                  [3, 6, 10, 14, 17, 20, 24, 28], [3, 6, 10, 14, 17, 21, 25, 29]),
+    "burgers": (lambda: benchmarks.burgers(300, 0.01), 5.4124, 1e-4,
+                [(0, 0), (19, 21), (3, 45), (30, 19), (40, 1), (14, 2)],
+                [3, 6, 10, 14, 17, 21, 24], [3, 6, 10, 14, 18, 22, 26]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REFERENCE_BUILDS))
+def test_reference_builds_keep_their_pairs(name):
+    """The batched scans select the reference builds' pairs and basis sizes."""
+    make, sigma0, tol, pairs, sizes_V, sizes_W = _REFERENCE_BUILDS[name]
+    g = default_grid()
+    cfg = GreedyConfig(sigma10=sigma0, sigma20=sigma0, S1=g, S2=g, eps_tol=tol, max_iters=10,
+                       validate_true_error=True)
+    res = run_greedy(make(), cfg)
+    assert res.converged
+    assert res.pairs == [(sigma0, sigma0)] + [(g[i], g[j]) for i, j in pairs]
+    assert [row.basis_size_V for row in res.trace] == sizes_V
+    assert [row.basis_size_W for row in res.trace] == sizes_W
+
+
+def test_selected_pair_sum_is_factored_once(monkeypatch):
+    """The S2 validation solves at the selected pair sum through the LU cache.
+
+    The next enrichment then reuses that LU instead of factoring again.
+    """
+    factored = []
+    factor = transfer.PencilSolver._factor
+
+    def recording_factor(self, z):
+        factored.append(complex(z))
+        return factor(self, z)
+
+    monkeypatch.setattr(transfer.PencilSolver, "_factor", recording_factor)
+    g = default_grid()
+    res = run_greedy(benchmarks.rc_ladder(5), GreedyConfig(
+        sigma10=119.5642, sigma20=119.5642, S1=g, S2=g, eps_tol=1e-5, validate_true_error=True))
+    assert len(res.pairs) > 2
+    assert [factored.count(complex(s1) + complex(s2)) for s1, s2 in res.pairs[1:]] \
+        == [1] * (len(res.pairs) - 1)
+
+
+def _reduced_singular_system(s_star):
+    """E = I and A regular at s_star, but A[0, 0] = s_star: W = V = e1 reduce to s - s_star."""
+    A = np.array([[s_star, 1.0, 0.0], [-1.0, -1.0, 0.0], [0.0, 0.0, -2.0]])
+    return qb_model.QBSystem.from_operators(np.eye(3), A, np.zeros((3, 3)),
+                                            sp.csr_matrix((3, 9)), np.ones(3), np.ones(3))
+
+
+def _reduced_singular_scans():
+    """Both scans over a grid where only the reduced pencil is singular, at one point.
+
+    Returns the grid, the warnings issued and the points of each scan's
+    validation records.
+    """
+    grid = default_grid(num=10)
+    ev = BoundEvaluator(_reduced_singular_system(grid[4].real))
+    e1 = np.eye(3)[:, :1]
+    ev.set_bases_1(e1, e1)
+    ev.set_bases_2(e1, e1)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        # s1 = 0 puts the pencil of delta2 at the grid point itself
+        scans = [greedy._scan(ev.scan_1, grid, set(), ev),
+                 greedy._scan(functools.partial(ev.scan_2, 0.0), grid, set(), ev)]
+        points = [[rec[0] for rec in greedy._records(ev.true_error_at, scanned)]
+                  for _, _, scanned in scans]
+    return grid, [str(w.message) for w in caught], points
+
+
+def _skips_only_the_singular_point():
+    grid, messages, points = _reduced_singular_scans()
+    others = [complex(s) for i, s in enumerate(grid) if i != 4]
+    return messages == [f"skipping sample point {grid[4]}: singular pencil"] * 2 \
+        and points == [others, others]
+
+
+def test_singular_reduced_pencil_skips_one_point():
+    assert _skips_only_the_singular_point()
+
+
+def test_singular_reduced_pencil_skips_one_point_without_asserts():
+    code = ("import test_greedy as t\n"
+            "ok = t._skips_only_the_singular_point() and not __debug__\n"
+            "print('same' if ok else 'different')\n")
+    assert _run_without_asserts(code) == "same"
 
 
 def test_nonconvergence_flagged(rng):
@@ -408,8 +500,8 @@ def test_read_trace_names_missing_column(tmp_path):
 
 def test_stagnation_stops_the_greedy(rng, monkeypatch):
     """A bound that never decreases stops the loop STAGNATION_WINDOW iterations later."""
-    def constant_scan(parts_fn, true_fn, grid, used, ev):
-        return next(complex(s) for s in grid if complex(s) not in used), 0.5, []
+    def constant_scan(batch_fn, grid, used, ev):
+        return next(complex(s) for s in grid if complex(s) not in used), 0.5, None
 
     monkeypatch.setattr(greedy, "_scan", constant_scan)
     stop = greedy.STAGNATION_WINDOW + 1
