@@ -12,7 +12,7 @@ from .qb_model import (
     load_system,
 )
 from .projection import ReducedQBSystem, orth_extend, build_interpolation_bases, reduce, verify_hermite
-from .error_bound import BoundEvaluator, BoundValue, beta
+from .error_bound import BoundEvaluator, beta
 from .greedy import GreedyConfig, GreedyResult, run_greedy, reduce_final, default_grid
 from .irka import IrkaConfig, irka_linear, irka_rom
 from .sim import Trajectory, simulate_qb, compare_outputs

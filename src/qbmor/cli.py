@@ -289,10 +289,10 @@ def bound_eval(sysdir, trace_path, s1_re, s1_im, s2_re, s2_im):
             system, [(row.sigma1, row.sigma2) for row in rows], solver)
         ev.set_bases_1(V1, W1)
         ev.set_bases_2(V2, W2)
-        val = ev.bound(s1, s2)
-    click.echo(f"delta1({s1}) = {val.delta1:.6e}")
-    click.echo(f"delta2({s1},{s2}) = {val.delta2:.6e}")
-    click.echo(f"delta = {val.delta:.6e}")
+        delta1, delta2 = ev.delta1(s1), ev.delta2(s1, s2)
+    click.echo(f"delta1({s1}) = {delta1:.6e}")
+    click.echo(f"delta2({s1},{s2}) = {delta2:.6e}")
+    click.echo(f"delta = {delta1 + delta2:.6e}")
 
 
 # -- time domain ----------------------------------------------------------

@@ -32,25 +32,21 @@ certified beta_lb <= beta of ``PencilSolver.sigma_min_lower``, can rule a
 point out (see ``greedy._scan``).  A scan evaluates its whole grid in one
 batch (:meth:`BoundEvaluator.scan_1`, :meth:`BoundEvaluator.scan_2`): the
 reduced primal and dual systems of the points are one stacked
-``np.linalg.solve`` each per stack of up to 2^13 pencil entries (the whole
-grid while r <= 12), and the residuals take one GEMM per side with the
+``np.linalg.solve`` each, and the residuals take one GEMM per side with the
 n x 2r blocks [E V, A V] and [E^T W, A^T W], formed from the solver's
 sparse E and A whenever the bases are set.  delta2's right-hand sides
-B2(s1, s) over the grid points s are one sparse product with the n x n
-operator Q(x1(s1) kron .) and one with N, on the cached x1(s) columns.  A
-point whose x1 or reduced solve fails is skipped, as NaN, with a warning;
-if the stacked solve fails, that batch is solved point by point.  The
-per-point methods (``parts_1``, ``delta2``, ``h1_rom``, ...) are batches of
-one.
+B2(s1, s) over the grid points s come from the cached x1(s) columns by
+``transfer.b2_from_x1``, the formula of ``transfer.rhs_B2``, so each column
+is bitwise the per-point B2.  A point whose x1 fails has a NaN column there;
+it, and a point whose reduced solve fails, is skipped, as NaN, with a
+warning (if the stacked solve fails, its points are solved one by one).
+The per-point methods (``parts_1``, ``delta2``, ``h1_rom``, ...) are
+batches of one.
 
 The true errors that validate the bound reuse the scan's batch: the full
 model's H1 is C X1 on the same x1 columns, the reduced transfer values come
-from the same stacked solve, and the full H2 takes one solve with the
-batch's B2 at each pair sum s1 + s.  That solve is one-shot
-(``PencilSolver.solve_once``): no other solve uses those pair sums, so a
-cached LU there would only hold memory.  The exception is the pair the scan
-selects, which the next enrichment solves at: there it goes through the
-solver's LU cache, so the pair sum is factored once.
+from the same stacked solve, and the full H2 takes one one-shot solve
+(``PencilSolver.solve_once``) with the batch's B2 at each pair sum s1 + s.
 """
 
 from __future__ import annotations
@@ -61,29 +57,15 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla  # noqa: F401  (the benchmark tracer wraps kernels here)
-import scipy.sparse as sp
 
 from . import projection, transfer
-from .qb_model import quadratic_gather
 
-__all__ = ["beta", "BoundEvaluator", "BoundValue", "ScanBatch"]
+__all__ = ["beta", "BoundEvaluator", "ScanBatch"]
 
 
 def beta(sys, s, solver=None):
     """Smallest singular value of sE - A, cached per frequency by the solver."""
     return transfer._solver(sys, solver).sigma_min(s)
-
-
-class BoundValue:
-    """Container for delta1, delta2 and their sum."""
-
-    def __init__(self, delta1, delta2):
-        self.delta1 = delta1
-        self.delta2 = delta2
-        self.delta = delta1 + delta2
-
-    def __repr__(self):
-        return f"BoundValue(delta1={self.delta1:.3e}, delta2={self.delta2:.3e})"
 
 
 @dataclass
@@ -104,24 +86,9 @@ class ScanBatch:
     rhs: np.ndarray | None = None
 
 
-# pencil entries per stacked reduced solve (128 KiB of complex), so that a
-# scan's temporaries do not grow with the grid: a full-grid stack raised the
-# peak memory of the RC l=50 reference build by 0.6 MB
-_STACK_ENTRIES = 1 << 13
-
-
 def _one(s):
     """A batch of one frequency."""
     return np.array([complex(s)])
-
-
-def _spread(ok, a):
-    """a, whose last axis runs over the points where ok, NaN-padded to all points (a if all ok)."""
-    if ok.all():
-        return a
-    out = np.full(a.shape[:-1] + ok.shape, np.nan, dtype=np.result_type(a, float))
-    out[..., ok] = a
-    return out
 
 
 class _ReducedPair:
@@ -161,22 +128,19 @@ class _ReducedPair:
         return np.linalg.norm(r_pr, axis=0) * np.linalg.norm(r_du, axis=0), h
 
     def scan(self, z, b):
-        """:meth:`bound_parts`, NaN at the frequencies whose reduced pencil is singular.
+        """:meth:`bound_parts` in one stack, NaN at the frequencies whose reduced pencil is singular.
 
-        The frequencies go in stacks of at most _STACK_ENTRIES pencil
-        entries; a stack that raises is solved point by point.
+        If the stack raises, its frequencies are solved point by point.
         """
         b = np.broadcast_to(b, (b.shape[0], z.size))
+        try:
+            return self.bound_parts(z, b)
+        except np.linalg.LinAlgError:
+            pass
         nums, h = np.full(z.size, np.nan), np.full(z.size, np.nan, dtype=complex)
-        step = max(1, _STACK_ENTRIES // max(1, self.E.size))
-        for c in range(0, z.size, step):
-            stack = slice(c, c + step)
-            try:
-                nums[stack], h[stack] = self.bound_parts(z[stack], b[:, stack])
-            except np.linalg.LinAlgError:
-                for i in range(c, min(c + step, z.size)):
-                    with contextlib.suppress(np.linalg.LinAlgError):
-                        (nums[i],), (h[i],) = self.bound_parts(z[i:i + 1], b[:, i:i + 1])
+        for i in range(z.size):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                (nums[i],), (h[i],) = self.bound_parts(z[i:i + 1], b[:, i:i + 1])
         return nums, h
 
 
@@ -217,69 +181,53 @@ class BoundEvaluator:
         The true errors' H1 = C X1 comes from the solver's cached x1(s)
         columns X1; a point whose x1 fails is skipped.
         """
-        X1, ok = self._x1_columns(points)
+        h_full = self.sys.C @ self._x1_columns(points)
         return self._batch(self._sub1, points, np.asarray(points, dtype=complex),
-                           self.sys.B[:, None], ok, h_full=self.sys.C @ X1)
+                           self.sys.B[:, None], h_full=h_full)
 
     def scan_2(self, s1, points):
         """The delta2 batch at pairs (s1, s) for grid points s: pencil at s1 + s, rhs B2(s1, s).
 
-        B2 = Q (x1(s1) kron X1) + N (x1(s1) + X1) / 2 for the solver's
-        cached x1(s) columns X1, with the quadratic term one sparse n x n
-        operator, T(i, j, k) x1(s1)_j at (i, k), built from Q's triplets.  A
-        point whose x1 fails is skipped.
+        B2 comes from x1(s1) and the solver's cached x1(s) columns by
+        ``transfer.b2_from_x1``, column by column the B2 of ``transfer.rhs_B2``.
+        A point whose x1 fails is skipped.
         """
-        B2, ok = self._rhs_2(s1, points)
+        B2 = transfer.b2_from_x1(self.solver, self.solver.x1(s1), self._x1_columns(points))
         z = complex(s1) + np.asarray(points, dtype=complex)
-        return self._batch(self._sub2, points, z, B2, ok, rhs=B2)
-
-    def _rhs_2(self, s1, points):
-        """B2(s1, s) as columns at the points s where x1(s) exists, and that mask."""
-        X1, ok = self._x1_columns(points)
-        u = self.solver.x1(s1)
-        i, j, k, Qg = quadratic_gather(self.sys.Q)
-        Qu = sp.csr_matrix((Qg.data * u[j], (i, k)), shape=(self.sys.n, self.sys.n))
-        return Qu @ X1 + 0.5 * (self.solver.N @ (u[:, None] + X1)), ok
+        return self._batch(self._sub2, points, z, B2, rhs=B2)
 
     def _x1_columns(self, points):
-        """The cached x1(s) as columns at the points where sE - A is regular, and that mask."""
-        ok = np.ones(len(points), dtype=bool)
-        cols = []
+        """The cached x1(s) as columns, NaN at the points where sE - A is singular."""
+        cols = np.full((self.sys.n, len(points)), np.nan, dtype=complex)
         for i, s in enumerate(points):
-            try:
-                cols.append(self.solver.x1(s))
-            except np.linalg.LinAlgError:
-                ok[i] = False
-        return np.array(cols, dtype=complex).reshape(-1, self.sys.n).T, ok
+            with contextlib.suppress(np.linalg.LinAlgError):
+                cols[:, i] = self.solver.x1(s)
+        return cols
 
-    def _batch(self, sub, points, z, b, ok, h_full=None, rhs=None):
-        """The ScanBatch of sub at the points where ok, with b, h_full and rhs given there.
+    def _batch(self, sub, points, z, b, h_full=None, rhs=None):
+        """The ScanBatch of sub at the points, with right-hand sides b (NaN where x1 failed).
 
-        Every other point, and every point whose reduced pencil is
-        singular, is skipped with a warning.
+        A point is skipped, as NaN, with a warning, where its x1 failed (its
+        h_full or rhs column is NaN) or its reduced pencil is singular.
         """
-        nums, h_rom = sub.scan(z[ok], b)
-        nums = _spread(ok, nums)
+        nums, h_rom = sub.scan(z, b)
+        if h_full is not None:
+            nums[np.isnan(h_full)] = np.nan
         for s, num in zip(points, nums):
             if np.isnan(num):
                 warnings.warn(f"skipping sample point {s}: singular pencil")
-        return ScanBatch(nums, z, _spread(ok, h_rom),
-                         None if h_full is None else _spread(ok, h_full),
-                         None if rhs is None else _spread(ok, rhs))
+        return ScanBatch(nums, z, h_rom, h_full, rhs)
 
-    def true_error_at(self, batch, i, cached=False):
+    def true_error_at(self, batch, i):
         """|H - H_rom| at point i of a scan batch.
 
-        H is H1 from the batch, or H2 = C x2 from one solve with the batch's
-        B2 at the pair sum: one-shot (``PencilSolver.solve_once``), or with
-        cached through the solver's LU cache, for a pair sum that the next
-        enrichment solves at too.
+        H is H1 from the batch, or H2 = C x2 from one one-shot solve
+        (``PencilSolver.solve_once``) with the batch's B2 at the pair sum.
         """
         if batch.rhs is None:
             h = batch.h_full[i]
         else:
-            solve = self.solver.solve if cached else self.solver.solve_once
-            h = self.sys.C @ solve(batch.z[i], batch.rhs[:, i])
+            h = self.sys.C @ self.solver.solve_once(batch.z[i], batch.rhs[:, i])
         return abs(h - batch.h_rom[i])
 
     # -- subsystem 1 at one point: pencil at s, right-hand side B ----------
@@ -335,6 +283,3 @@ class BoundEvaluator:
         z, b2 = self._pair(s1, s2)
         h_rom = self._sub2.bound_parts(z, b2)[1][0]
         return abs(self.sys.C @ self.solver.solve_once(z[0], b2[:, 0]) - h_rom)
-
-    def bound(self, s1, s2):
-        return BoundValue(self.delta1(s1), self.delta2(s1, s2))

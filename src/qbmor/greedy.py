@@ -165,10 +165,8 @@ def run_greedy(sys, cfg):
         stagnated = not converged and stall >= STAGNATION_WINDOW
         true_max = None
         if cfg.validate_true_error:
-            # the next iteration enriches at the selected pair, solving at its sum
-            goes_on = not (converged or stagnated) and it < cfg.max_iters
             rec1 = _records(ev.true_error_at, scan1)
-            rec2 = _records(ev.true_error_at, scan2, cache_selected=goes_on)
+            rec2 = _records(ev.true_error_at, scan2)
             validation.extend((it, "delta1", s, b, t) for s, b, t in rec1)
             validation.extend((it, "delta2", (s1_next, s), b, t) for s, b, t in rec2)
             true_max = max([0.0] + [t for *_, t in rec1]) + max([0.0] + [t for *_, t in rec2])
@@ -196,12 +194,11 @@ def run_greedy(sys, cfg):
 
 
 class _Scanned(NamedTuple):
-    """A finished scan: its points, their bounds (NaN where skipped), its batch and argmax."""
+    """A finished scan: its points, their bounds (NaN where skipped) and its batch."""
 
     points: list
     bounds: np.ndarray
     batch: object
-    selected: int
 
 
 def _scan(batch_fn, grid, used, ev):
@@ -245,22 +242,21 @@ def _scan(batch_fn, grid, used, ev):
         if np.isfinite(exact[i]):
             best = max(best, exact[i])
     i, best = _argmax_scan(exact)
-    return complex(candidates[i]), best, _Scanned(candidates, vals, batch, i)
+    return complex(candidates[i]), best, _Scanned(candidates, vals, batch)
 
 
-def _records(true_fn, scanned, cache_selected=False):
+def _records(true_fn, scanned):
     """(point, bound, true error) at every point of a scan whose bound is finite.
 
-    true_fn(batch, i, cached) is the true error at point i from the scan's
-    batch (``BoundEvaluator.true_error_at``); cached is set at the selected
-    point if cache_selected.  A point whose true error fails is skipped with
-    a warning.
+    true_fn(batch, i) is the true error at point i from the scan's batch
+    (``BoundEvaluator.true_error_at``).  A point whose true error fails is
+    skipped with a warning.
     """
     records = []
     for i, (s, bound) in enumerate(zip(scanned.points, scanned.bounds)):
         if np.isfinite(bound):
             try:
-                true = true_fn(scanned.batch, i, cache_selected and i == scanned.selected)
+                true = true_fn(scanned.batch, i)
             except np.linalg.LinAlgError:
                 warnings.warn(f"skipping sample point {s}: singular pencil")
                 continue

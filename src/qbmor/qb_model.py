@@ -130,8 +130,11 @@ def _csc_keys(M):
 def apply_quadratic(Q, u, v):
     """Evaluate Q (u kron v) without forming an n x n^2 intermediate.
 
-    A CSR Q is applied as its gather (see :func:`quadratic_gather`) at
-    O(nnz) cost; any other Q multiplies the flat outer product of u and v.
+    v may also be an n x m block; column c of the result is then
+    Q (u kron v[:, c]).  A CSR Q is applied as its gather (see
+    :func:`quadratic_gather`) at O(nnz) cost, to a block column by column
+    bitwise as to the vector; any other Q multiplies the flat outer product
+    of u and v.
     """
     u = np.asarray(u)
     v = np.asarray(v)
@@ -142,14 +145,8 @@ def apply_quadratic(Q, u, v):
         )
     if sp.issparse(Q) and Q.format == "csr":
         _, j, k, Qg = quadratic_gather(Q)
-        return Qg @ (u[j] * v[k])
-    return Q @ np.multiply.outer(u, v).ravel()
-
-
-def _swap_last_perm(n):
-    """Column permutation exchanging the last two tensor indices: j*n+k -> k*n+j."""
-    c = np.arange(n * n)
-    return (c % n) * n + c // n
+        return Qg @ (u[j] * v[k].T).T
+    return Q @ np.multiply.outer(u, v).reshape((n * n,) + v.shape[1:])
 
 
 def symmetrize_quadratic(Q):
@@ -157,15 +154,19 @@ def symmetrize_quadratic(Q):
 
     Output satisfies Qs (u kron v) = Qs (v kron u) for all u, v while
     Qs (x kron x) = Q (x kron x) is preserved; entrywise
-    Ts(i,j,k) = (T(i,j,k) + T(i,k,j)) / 2.
+    Ts(i,j,k) = (T(i,j,k) + T(i,k,j)) / 2, summed over Q's stored entries
+    and their copies with j and k swapped, at O(nnz).
     """
-    Q = sp.csr_matrix(Q)
+    Q = sp.coo_matrix(Q)
     n = Q.shape[0]
-    perm = _swap_last_perm(n)
-    Qs = ((Q + Q[:, perm]) * 0.5).tocsr()
+    j, k = np.divmod(Q.col.astype(np.int64), n)
+    Qs = sp.csr_matrix((np.concatenate([Q.data, Q.data]),
+                        (np.concatenate([Q.row, Q.row]), np.concatenate([Q.col, k * n + j]))),
+                       shape=Q.shape)
     # canonical form: equal matrices get identical storage, so downstream
     # sparse products sum in the same order regardless of construction path
     Qs.sum_duplicates()
+    Qs.data *= 0.5
     Qs.sort_indices()
     Qs.eliminate_zeros()
     return Qs
@@ -232,9 +233,6 @@ class QBSystem:
 
     def mode2(self):
         return mode2_matricization(self.Q)
-
-    def quadratic(self, u, v):
-        return apply_quadratic(self.Q, u, v)
 
 
 @dataclass(frozen=True)

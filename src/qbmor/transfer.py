@@ -28,6 +28,7 @@ arguments.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,7 @@ __all__ = [
     "PencilSolver",
     "solve_x1",
     "solve_y1",
+    "b2_from_x1",
     "rhs_B2",
     "solve_x2",
     "solve_y2",
@@ -113,13 +115,13 @@ class PencilSolver:
 
     Entries are keyed by the exact complex value of s.  Systems under the
     rule of ``qb_model.sparse_factors`` (a sparse Q and n >= SPARSE_FACTOR_N)
-    hold N as CSR and factor sE - A with SuperLU on one CSC pattern of E and
-    A built here, whose data is rewritten for each s.  Every solve refactors
+    factor sE - A with SuperLU on one CSC pattern of E and A built here,
+    whose data is rewritten for each s.  Every solve refactors
     and no SuperLU object is kept: the factors of a build's few hundred
     frequencies would set its memory peak.  Below the cut, one dense LAPACK
     LU per frequency serves x1-type solves and transposed y1-type solves
     alike.  :meth:`solve_once` factors without caching, for point
-    evaluations.  E and A are also held as CSR, for products with them.
+    evaluations.  E, A and N are also held as CSR, for products with them.
 
     A frequency where sE - A is numerically singular raises
     ``np.linalg.LinAlgError``: the reciprocal condition estimate
@@ -138,12 +140,13 @@ class PencilSolver:
         self._cache = {}
         self._q2 = None
         self.E, self.A = sp.csr_matrix(sys.E), sp.csr_matrix(sys.A)
-        self._Et, self._At = self.E.T, self.A.T
-        self._pattern, self.N = None, sys.N
+        # the bilinear term of B2 and c2: a CSR product is bitwise the same per
+        # column of a block, which a dense GEMM and GEMV are not
+        self.N = sp.csr_matrix(sys.N)
+        self._pattern = None
         if sparse_factors(sys):
             self._pattern = CscPattern(sys.n, (self.E, self.A))
             self._Ep, self._Ap = self._pattern.values(self.E), self._pattern.values(self.A)
-            self.N = sp.csr_matrix(sys.N)  # the bilinear term of B2 and c2 at O(nnz)
         self.counts = {"factorizations": 0, "sigma_min_evals": 0}
         self._fov = None
 
@@ -154,7 +157,11 @@ class PencilSolver:
         """
         if self._pattern is None:
             G = z * self.sys.E - self.sys.A
-            lu = sla.lu_factor(G)
+            # lu_factor only warns on an exactly singular G; gecon's rcond
+            # of its factors is 0 there, and the check below raises
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", sla.LinAlgWarning)
+                lu = sla.lu_factor(G)
             gecon = sla.get_lapack_funcs("gecon", (lu[0],))
             rcond, _ = gecon(lu[0], np.linalg.norm(G, 1), norm="1")
         else:
@@ -190,10 +197,6 @@ class PencilSolver:
     def apply(self, s, x):
         """(sE - A) x from the sparse copies of E and A."""
         return complex(s) * (self.E @ x) - self.A @ x
-
-    def apply_t(self, s, x):
-        """(sE - A)^T x (plain transpose) from the sparse copies of E and A."""
-        return complex(s) * (self._Et @ x) - self._At @ x
 
     def _check_residual(self, s, x, b):
         if __debug__:
@@ -344,12 +347,20 @@ def solve_y1(sys, s, solver=None):
     return _solver(sys, solver).solve_t(s, sys.C)
 
 
+def b2_from_x1(solver, u, v):
+    """B2 = Q (u kron v) + N (u + v) / 2 from x1 vectors u and v.
+
+    v may be an n x m block of x1 columns; column c of the result is then
+    bitwise B2 from u and v[:, c].
+    """
+    w = u if v.ndim == 1 else u[:, None]
+    return apply_quadratic(solver.sys.Q, u, v) + 0.5 * (solver.N @ (w + v))
+
+
 def rhs_B2(sys, s1, s2, solver=None):
     """Right-hand side of the second subsystem, symmetric in (s1, s2)."""
     solver = _solver(sys, solver)
-    x1a = solve_x1(sys, s1, solver)
-    x1b = solve_x1(sys, s2, solver)
-    return apply_quadratic(sys.Q, x1a, x1b) + 0.5 * (solver.N @ (x1a + x1b))
+    return b2_from_x1(solver, solve_x1(sys, s1, solver), solve_x1(sys, s2, solver))
 
 
 def solve_x2(sys, s1, s2, solver=None):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qbmor import benchmarks
+from qbmor import apply_quadratic, benchmarks
 from qbmor.benchmarks import (
     BenchmarkSpec,
     _burgers_original_rhs,
@@ -21,7 +21,7 @@ from qbmor.sim import simulate_qb
 
 def _qb_rhs(sys, x, u):
     return (sys.A @ x + (sys.N @ x) * u
-            + sys.quadratic(x, x) + sys.B * u)
+            + apply_quadratic(sys.Q, x, x) + sys.B * u)
 
 
 # -- RC ladder -------------------------------------------------------------

@@ -6,7 +6,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from qbmor import benchmarks, projection, transfer
-from qbmor.error_bound import BoundEvaluator, BoundValue, beta
+from qbmor.error_bound import BoundEvaluator, beta
 from qbmor.greedy import default_grid
 from qbmor.qb_model import QBSystem
 from conftest import random_qb
@@ -139,12 +139,6 @@ def test_sigma_min_lower_is_certified(name):
         assert solver.counts == {"factorizations": 0, "sigma_min_evals": len(ref)}
 
 
-def test_bound_value_sums_components():
-    bv = BoundValue(1.0, 2.5)
-    assert bv.delta == 3.5
-    assert "delta1" in repr(bv)
-
-
 class TestEmptyBases:
     def test_conventions(self, rng):
         sys = random_qb(6, rng)
@@ -235,7 +229,7 @@ def _per_point(solver, V, W, z, b):
     x = np.linalg.solve(G, W.T @ b)
     y = np.linalg.solve(G.T, -Cr)
     r_pr = b - solver.apply(z, V @ x)
-    r_du = -solver.sys.C - solver.apply_t(z, W @ y)
+    r_du = -solver.sys.C - (z * (solver.E.T @ (W @ y)) - solver.A.T @ (W @ y))
     return np.linalg.norm(r_pr) * np.linalg.norm(r_du), Cr @ x
 
 
@@ -280,6 +274,9 @@ def test_scan_batches_match_per_point_evaluation(name):
         tol_num, tol_h = 1e-10 * num.real.max(), 1e-10 * np.abs(h).max()
         assert np.abs(batch.nums - num).max() <= tol_num
         assert np.abs(batch.h_rom - h_rom).max() <= tol_h
+        if batch.rhs is not None:
+            for i, s in enumerate(grid):
+                assert np.array_equal(batch.rhs[:, i], transfer.rhs_B2(sys_, s1, s, solver))
         batch_true = [ev.true_error_at(batch, i) for i in range(len(grid))]
         assert np.abs(batch_true - true).max() <= tol_h
         one_num, one_h_rom, one_true = np.array([one(s) for s in grid]).T

@@ -215,10 +215,10 @@ def test_true_error_failure_skips_the_point():
     grid = default_grid(num=10)
     bad = complex(grid[3])
 
-    def true_fn(batch, i, cached):
+    def true_fn(batch, i):
         if complex(grid[i]) == bad:
             raise np.linalg.LinAlgError("singular")
-        return ev.true_error_at(batch, i, cached)
+        return ev.true_error_at(batch, i)
 
     _, _, scanned = greedy._scan(ev.scan_1, grid, set(), ev)
     with pytest.warns(UserWarning, match="skipping sample point"):
@@ -318,7 +318,7 @@ def _exhaustive_scan(batch_fn, grid, used, ev):
         except np.linalg.LinAlgError:
             vals.append(np.nan)
     i, best = greedy._argmax_scan(vals)
-    return complex(candidates[i]), best, greedy._Scanned(candidates, np.array(vals), batch, i)
+    return complex(candidates[i]), best, greedy._Scanned(candidates, np.array(vals), batch)
 
 
 _LAZY_SCAN_CASES = {
@@ -379,27 +379,6 @@ def test_reference_builds_keep_their_pairs(name):
     assert res.pairs == [(sigma0, sigma0)] + [(g[i], g[j]) for i, j in pairs]
     assert [row.basis_size_V for row in res.trace] == sizes_V
     assert [row.basis_size_W for row in res.trace] == sizes_W
-
-
-def test_selected_pair_sum_is_factored_once(monkeypatch):
-    """The S2 validation solves at the selected pair sum through the LU cache.
-
-    The next enrichment then reuses that LU instead of factoring again.
-    """
-    factored = []
-    factor = transfer.PencilSolver._factor
-
-    def recording_factor(self, z):
-        factored.append(complex(z))
-        return factor(self, z)
-
-    monkeypatch.setattr(transfer.PencilSolver, "_factor", recording_factor)
-    g = default_grid()
-    res = run_greedy(benchmarks.rc_ladder(5), GreedyConfig(
-        sigma10=119.5642, sigma20=119.5642, S1=g, S2=g, eps_tol=1e-5, validate_true_error=True))
-    assert len(res.pairs) > 2
-    assert [factored.count(complex(s1) + complex(s2)) for s1, s2 in res.pairs[1:]] \
-        == [1] * (len(res.pairs) - 1)
 
 
 def _reduced_singular_system(s_star):

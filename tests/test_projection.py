@@ -6,7 +6,7 @@ import pytest
 import scipy.sparse as sp
 
 from qbmor import benchmarks, projection, transfer
-from qbmor.qb_model import symmetrize_quadratic
+from qbmor.qb_model import apply_quadratic, symmetrize_quadratic
 from qbmor.projection import (
     SingularReductionError,
     build_interpolation_bases,
@@ -81,7 +81,7 @@ class TestReduce:
         rom = reduce(sys, V, V)
         xr = rng.standard_normal(3)
         # W^T Q ((V xr) kron (V xr)) == Qr (xr kron xr)
-        full = V.T @ sys.quadratic(V @ xr, V @ xr)
+        full = V.T @ apply_quadratic(sys.Q, V @ xr, V @ xr)
         red = rom.Qr @ np.kron(xr, xr)
         assert np.allclose(full, red, rtol=1e-12, atol=1e-13)
 

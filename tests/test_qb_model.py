@@ -57,6 +57,15 @@ def test_symmetrize_entrywise():
     assert np.array_equal(Qs, expect)
 
 
+def test_symmetrize_matches_dense_tensor(rng):
+    # Ts(i, j, k) = (T(i, j, k) + T(i, k, j)) / 2 on a sparse random tensor
+    n = 4
+    T = rng.standard_normal((n, n, n)) * (rng.random((n, n, n)) < 0.4)
+    Qs = symmetrize_quadratic(sp.csr_matrix(T.reshape(n, n * n)))
+    assert np.array_equal(Qs.toarray().reshape(n, n, n), 0.5 * (T + T.transpose(0, 2, 1)))
+    assert Qs.has_canonical_format and np.all(Qs.data != 0)
+
+
 def test_mode2_identity_many_random_instances(rng):
     # w^T Q (u kron v) == u^T Q2 (v kron w) for symmetrized Q
     for trial in range(120):
@@ -115,7 +124,7 @@ class TestFromOperators:
     def test_symmetrizes_q_and_defaults_x0(self, rng):
         sys = random_qb(5, rng)
         u, v = rng.standard_normal(5), rng.standard_normal(5)
-        assert np.allclose(sys.quadratic(u, v), sys.quadratic(v, u))
+        assert np.allclose(apply_quadratic(sys.Q, u, v), apply_quadratic(sys.Q, v, u))
         assert np.array_equal(sys.x0, np.zeros(5))
 
 
