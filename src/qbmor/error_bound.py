@@ -43,10 +43,12 @@ warning (if the stacked solve fails, its points are solved one by one).
 The per-point methods (``parts_1``, ``delta2``, ``h1_rom``, ...) are
 batches of one.
 
-The true errors that validate the bound reuse the scan's batch: the full
-model's H1 is C X1 on the same x1 columns, the reduced transfer values come
-from the same stacked solve, and the full H2 takes one one-shot solve
-(``PencilSolver.solve_once``) with the batch's B2 at each pair sum s1 + s.
+The true errors that validate the bound reuse the scan's batch
+(:meth:`BoundEvaluator.true_errors`, one call per scan): the full model's
+H1 is C X1 on the same x1 columns, the reduced transfer values come from
+the same stacked solve, and the full H2 takes one one-shot solve
+(``PencilSolver.solve_once``: a band LU below the sparse cut, SuperLU from
+it on) with the batch's B2 at each pair sum s1 + s.
 """
 
 from __future__ import annotations
@@ -218,17 +220,21 @@ class BoundEvaluator:
                 warnings.warn(f"skipping sample point {s}: singular pencil")
         return ScanBatch(nums, z, h_rom, h_full, rhs)
 
-    def true_error_at(self, batch, i):
-        """|H - H_rom| at point i of a scan batch.
+    def true_errors(self, batch, points):
+        """|H - H_rom| at the points of a scan batch where the mask points is set, else NaN.
 
         H is H1 from the batch, or H2 = C x2 from one one-shot solve
-        (``PencilSolver.solve_once``) with the batch's B2 at the pair sum.
+        (``PencilSolver.solve_once``) with the batch's B2 at the pair sum;
+        a pencil singular there gives NaN.
         """
+        h = np.full(points.size, np.nan, dtype=complex)
         if batch.rhs is None:
-            h = batch.h_full[i]
+            h[points] = batch.h_full[points]
         else:
-            h = self.sys.C @ self.solver.solve_once(batch.z[i], batch.rhs[:, i])
-        return abs(h - batch.h_rom[i])
+            for i in np.flatnonzero(points):
+                with contextlib.suppress(np.linalg.LinAlgError):
+                    h[i] = self.sys.C @ self.solver.solve_once(batch.z[i], batch.rhs[:, i])
+        return np.abs(h - batch.h_rom)
 
     # -- subsystem 1 at one point: pencil at s, right-hand side B ----------
 

@@ -165,8 +165,8 @@ def run_greedy(sys, cfg):
         stagnated = not converged and stall >= STAGNATION_WINDOW
         true_max = None
         if cfg.validate_true_error:
-            rec1 = _records(ev.true_error_at, scan1)
-            rec2 = _records(ev.true_error_at, scan2)
+            rec1 = _records(ev, scan1)
+            rec2 = _records(ev, scan2)
             validation.extend((it, "delta1", s, b, t) for s, b, t in rec1)
             validation.extend((it, "delta2", (s1_next, s), b, t) for s, b, t in rec2)
             true_max = max([0.0] + [t for *_, t in rec1]) + max([0.0] + [t for *_, t in rec2])
@@ -245,22 +245,21 @@ def _scan(batch_fn, grid, used, ev):
     return complex(candidates[i]), best, _Scanned(candidates, vals, batch)
 
 
-def _records(true_fn, scanned):
+def _records(ev, scanned):
     """(point, bound, true error) at every point of a scan whose bound is finite.
 
-    true_fn(batch, i) is the true error at point i from the scan's batch
-    (``BoundEvaluator.true_error_at``).  A point whose true error fails is
-    skipped with a warning.
+    The true errors come from ``ev.true_errors`` at those points only.  A
+    point whose true error fails is skipped with a warning.
     """
+    finite = np.isfinite(scanned.bounds)
+    true = ev.true_errors(scanned.batch, finite)
     records = []
-    for i, (s, bound) in enumerate(zip(scanned.points, scanned.bounds)):
-        if np.isfinite(bound):
-            try:
-                true = true_fn(scanned.batch, i)
-            except np.linalg.LinAlgError:
-                warnings.warn(f"skipping sample point {s}: singular pencil")
-                continue
-            records.append((complex(s), bound, true))
+    for i in np.flatnonzero(finite):
+        s = scanned.points[i]
+        if np.isnan(true[i]):
+            warnings.warn(f"skipping sample point {s}: singular pencil")
+            continue
+        records.append((complex(s), scanned.bounds[i], true[i]))
     return records
 
 

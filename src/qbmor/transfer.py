@@ -22,8 +22,10 @@ dense LAPACK LU that ``PencilSolver`` caches per frequency; from it on (the
 full Burgers models) SuperLU factors of the pencil held on one CSC pattern,
 refactored for every solve and never cached.  H2 is a point evaluation,
 used mostly to validate the error bound at pair sums that nothing else
-solves at; it factors once without caching, in real arithmetic for real
-arguments.
+solves at.  It factors once without caching, in real arithmetic for real
+arguments: below the cut a LAPACK band LU of the pencil with its rows and
+columns in reverse Cuthill-McKee order (never dearer than the dense LU, far
+cheaper on a narrow band), from it on the same SuperLU factors as above.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .qb_model import CscPattern, QBSystem, apply_quadratic, sparse_factors
 
@@ -101,6 +104,63 @@ def _inv_norm1_estimate(lu, dtype):
     return max(est, 2.0 * np.abs(lu.solve(alt.astype(dtype))).sum() / (3 * n))
 
 
+class _BandPencil:
+    """zE - A in LAPACK band storage, its rows and columns in reverse Cuthill-McKee order.
+
+    perm is the reverse Cuthill-McKee order of the pattern of E and A, which
+    narrows the band of the RC ladder (l=50: bandwidths 52/51 down to 3/3);
+    Burgers is 1/1 either way, and a pencil with a dense row or column, as
+    FitzHugh-Nagumo's constant state gives, keeps a band about as wide as n
+    (n=61: 36/38).  kl and ku are the permuted pattern's bandwidths below
+    and above the diagonal.  E and A are held as gbtrf reads a matrix: entry
+    (i, j) of the permuted matrix in row kl + ku + i - j of column j, under
+    kl zero rows for the LU's fill-in.  A solve factors and solves in
+    O(n (kl + ku) kl), at most a dense LU's cost, and keeps nothing.  Only
+    pencils below the sparse cut take this path: above it a wide band costs
+    O(n^3) where SuperLU costs about O(nnz) (FitzHugh-Nagumo nbar=300: 40
+    against 0.8 ms), and gbcon's scaled triangular solves cost O(n^2) even
+    on a 1/1 band (Burgers n=3000: 6 ms against a 0.3 ms gbtrf).
+    """
+
+    def __init__(self, E, A):
+        pattern = (abs(E) + abs(A)).tocsr()
+        n = pattern.shape[0]
+        self.perm = reverse_cuthill_mckee(pattern, symmetric_mode=False)
+        order = np.empty(n, dtype=np.int64)
+        order[self.perm] = np.arange(n)
+        p = pattern.tocoo()
+        offsets = order[p.row] - order[p.col]
+        self.kl, self.ku = int(np.max(offsets, initial=0)), int(np.max(-offsets, initial=0))
+
+        def banded(M):
+            M = M.tocoo()
+            ab = np.zeros((2 * self.kl + self.ku + 1, n))
+            i, j = order[M.row], order[M.col]
+            ab[self.kl + self.ku + i - j, j] = M.data
+            return ab
+
+        self.E, self.A = banded(E), banded(A)
+
+    def solve(self, z, b):
+        """x with (zE - A) x = b, in real arithmetic when z and b are real.
+
+        Raises ``np.linalg.LinAlgError`` where the pencil is numerically
+        singular: gbtrf meets an exactly zero pivot, or gbcon's reciprocal
+        condition estimate of the factors is below machine epsilon.
+        """
+        ab = z * self.E - self.A
+        gbtrf, gbcon, gbtrs = sla.get_lapack_funcs(("gbtrf", "gbcon", "gbtrs"), (ab,))
+        anorm = np.abs(ab).sum(axis=0).max()
+        lu, piv, info = gbtrf(ab, self.kl, self.ku, overwrite_ab=True)
+        rcond = gbcon(self.kl, self.ku, lu, piv, anorm)[0] if info == 0 else 0.0
+        if not rcond >= _EPS:
+            raise np.linalg.LinAlgError(
+                f"pencil sE - A singular at s = {complex(z)} (rcond {rcond:.1e})")
+        x = np.empty_like(b, dtype=ab.dtype)
+        x[self.perm] = gbtrs(lu, self.kl, self.ku, b[self.perm], piv)[0]
+        return x
+
+
 @dataclass
 class _Pencil:
     """Cached data of sE - A at one frequency, each item computed on first use."""
@@ -120,16 +180,18 @@ class PencilSolver:
     and no SuperLU object is kept: the factors of a build's few hundred
     frequencies would set its memory peak.  Below the cut, one dense LAPACK
     LU per frequency serves x1-type solves and transposed y1-type solves
-    alike.  :meth:`solve_once` factors without caching, for point
-    evaluations.  E, A and N are also held as CSR, for products with them.
+    alike.  :meth:`solve_once`, for point evaluations, keeps no factors:
+    below the cut it factors a band form of the pencil (``_BandPencil``,
+    built on first use), from it on the same SuperLU factors.  E, A and N
+    are also held as CSR, for products with them.
 
     A frequency where sE - A is numerically singular raises
     ``np.linalg.LinAlgError``: the reciprocal condition estimate
     1 / (||G||_1 est ||G^{-1}||_1) of its factors is below machine epsilon
-    (LAPACK gecon on a dense LU; the same Hager-Higham estimate on SuperLU
-    factors, which also report an exactly singular pencil), or
-    sigma_min / sigma_max is below n times it.  Every cached sigma_min is
-    also an anchor of the Weyl bound in :meth:`sigma_min_lower`.
+    (LAPACK gecon on a dense LU, gbcon on a band LU; the same Hager-Higham
+    estimate on SuperLU factors, which also report an exactly singular
+    pencil), or sigma_min / sigma_max is below n times it.  Every cached
+    sigma_min is also an anchor of the Weyl bound in :meth:`sigma_min_lower`.
 
     ``counts`` tallies factorizations, cached and one-shot, and sigma_min
     evaluations since construction.
@@ -149,11 +211,13 @@ class PencilSolver:
             self._Ep, self._Ap = self._pattern.values(self.E), self._pattern.values(self.A)
         self.counts = {"factorizations": 0, "sigma_min_evals": 0}
         self._fov = None
+        self._band = None
 
     def _factor(self, z):
         """Factors of zE - A, real for real z; LinAlgError where it is numerically singular.
 
         A LAPACK LU tuple below the sparse cut, a SuperLU object from it on.
+        Only the SuperLU one-shot solves of :meth:`solve_once` pass a real z.
         """
         if self._pattern is None:
             G = z * self.sys.E - self.sys.A
@@ -194,15 +258,17 @@ class PencilSolver:
             return self._cached(s, "lu", self._factor)
         return self._factor(complex(s))
 
-    def apply(self, s, x):
-        """(sE - A) x from the sparse copies of E and A."""
-        return complex(s) * (self.E @ x) - self.A @ x
+    def apply(self, s, x, trans=False):
+        """(sE - A) x, or (sE - A)^T x with trans, from the sparse copies of E and A."""
+        E, A = (self.E.T, self.A.T) if trans else (self.E, self.A)
+        return complex(s) * (E @ x) - A @ x
 
-    def _check_residual(self, s, x, b):
+    def _check_residual(self, s, x, b, trans=False):
+        """Under __debug__, assert ||(sE - A) x - b|| <= 1e-10 ||b|| (transposed with trans)."""
         if __debug__:
             nb = np.linalg.norm(b)
             if nb > 0:
-                assert np.linalg.norm(self.apply(s, x) - b) <= _RESIDUAL_TOL * nb, \
+                assert np.linalg.norm(self.apply(s, x, trans) - b) <= _RESIDUAL_TOL * nb, \
                     f"solve at s={s} lost accuracy"
 
     def solve(self, s, b):
@@ -217,21 +283,31 @@ class PencilSolver:
 
         For real s and b the factorization and solve run in real arithmetic,
         at under half the cost of complex; x is returned complex either way.
-        Its rounding differs from :meth:`solve`, so no interpolation vector
-        comes from here, only values that nothing reuses (H2 at a pair sum).
+        Below the sparse cut the factors are a band LU (``_BandPencil``),
+        from it on SuperLU's.  Its rounding differs from :meth:`solve`, so no
+        interpolation vector comes from here, only values that nothing
+        reuses (H2 at a pair sum).
         """
         key = complex(s)
         b = np.asarray(b, dtype=complex)
-        if key.imag == 0 and not b.imag.any():
-            x = _lu_solve(self._factor(key.real), b.real).astype(complex)
+        z, rhs = (key.real, b.real) if key.imag == 0 and not b.imag.any() else (key, b)
+        if self._pattern is None:
+            if self._band is None:
+                self._band = _BandPencil(self.E, self.A)
+            self.counts["factorizations"] += 1
+            x = self._band.solve(z, rhs)
         else:
-            x = _lu_solve(self._factor(key), b)
+            x = _lu_solve(self._factor(z), rhs)
+        x = np.asarray(x, dtype=complex)
         self._check_residual(key, x, b)
         return x
 
     def solve_t(self, s, b):
         """Solve (sE - A)^T x = b (plain transpose)."""
-        return _lu_solve(self._lu(s), np.asarray(b, dtype=complex), trans=1)
+        b = np.asarray(b, dtype=complex)
+        x = _lu_solve(self._lu(s), b, trans=1)
+        self._check_residual(s, x, b, trans=True)
+        return x
 
     def x1(self, s):
         """x1(s) = (sE - A)^{-1} B, solved once per frequency (read-only)."""

@@ -26,6 +26,23 @@ def random_qb(n, rng, q_scale=0.1, n_scale=0.1, with_mass=False, density=0.3):
     return QBSystem.from_operators(E, A, N, q_scale * sp.csr_matrix(Q), B, C)
 
 
+def descriptor_qb():
+    """A regular pencil whose E is singular and has a large skew part.
+
+    Two algebraic states make E singular.  On the imaginary axis the skew
+    part of E moves sigma_min(sE - A) about 3 below the field-of-values
+    bound that leaves the |y| ||E_k|| term out.
+    """
+    rng = np.random.default_rng(3)
+    n = 10
+    M = rng.standard_normal((8, 8))
+    E = np.zeros((n, n))
+    E[:8, :8] = np.eye(8) + 3 * (M - M.T) / np.linalg.norm(M - M.T, 2)
+    A = -5 * np.eye(n) + 0.5 * rng.standard_normal((n, n)) / np.sqrt(n)
+    return QBSystem.from_operators(E, A, np.zeros((n, n)), sp.csr_matrix((n, n * n)),
+                                   np.ones(n), np.ones(n))
+
+
 def scalar_qb(a=1.0, q=0.5, nu=0.0):
     """1-D system x' = -a x + q x^2 + nu x u + u, y = x.
 

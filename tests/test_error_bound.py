@@ -9,7 +9,7 @@ from qbmor import benchmarks, projection, transfer
 from qbmor.error_bound import BoundEvaluator, beta
 from qbmor.greedy import default_grid
 from qbmor.qb_model import QBSystem
-from conftest import random_qb
+from conftest import descriptor_qb, random_qb
 from test_greedy import _LAZY_SCAN_CASES
 
 
@@ -99,23 +99,6 @@ def test_beta_matches_svdvals_on_grids(name):
         assert solver.counts == {"factorizations": 0, "sigma_min_evals": len(ref)}
 
 
-def _descriptor_qb():
-    """A regular pencil whose E is singular and has a large skew part.
-
-    Two algebraic states make E singular.  On the imaginary axis the skew
-    part of E moves sigma_min(sE - A) about 3 below the field-of-values
-    bound that leaves the |y| ||E_k|| term out.
-    """
-    rng = np.random.default_rng(3)
-    n = 10
-    M = rng.standard_normal((8, 8))
-    E = np.zeros((n, n))
-    E[:8, :8] = np.eye(8) + 3 * (M - M.T) / np.linalg.norm(M - M.T, 2)
-    A = -5 * np.eye(n) + 0.5 * rng.standard_normal((n, n)) / np.sqrt(n)
-    return QBSystem.from_operators(E, A, np.zeros((n, n)), sp.csr_matrix((n, n * n)),
-                                   np.ones(n), np.ones(n))
-
-
 @pytest.mark.parametrize("name", sorted(_GRID_SYSTEMS) + ["descriptor"])
 def test_sigma_min_lower_is_certified(name):
     """sigma_min_lower never exceeds the complex dense svdvals, and needs no factorization.
@@ -125,7 +108,7 @@ def test_sigma_min_lower_is_certified(name):
     where the sigma_min already computed serve as Weyl anchors; once
     sigma_min(t) is cached the bound at t is that value.
     """
-    sys = _descriptor_qb() if name == "descriptor" else _GRID_SYSTEMS[name]()
+    sys = descriptor_qb() if name == "descriptor" else _GRID_SYSTEMS[name]()
     points = np.concatenate([_grid_points(), -0.5 * default_grid()[::7]])
     ref = _svdvals_min(sys, points)
     for order in _visiting_orders(points):
@@ -277,8 +260,7 @@ def test_scan_batches_match_per_point_evaluation(name):
         if batch.rhs is not None:
             for i, s in enumerate(grid):
                 assert np.array_equal(batch.rhs[:, i], transfer.rhs_B2(sys_, s1, s, solver))
-        batch_true = [ev.true_error_at(batch, i) for i in range(len(grid))]
-        assert np.abs(batch_true - true).max() <= tol_h
+        assert np.abs(ev.true_errors(batch, np.ones(len(grid), bool)) - true).max() <= tol_h
         one_num, one_h_rom, one_true = np.array([one(s) for s in grid]).T
         assert np.abs(one_num - num).max() <= tol_num
         assert np.abs(one_h_rom - h_rom).max() <= tol_h

@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -208,21 +209,26 @@ def test_near_singular_grid_point_is_skipped_without_asserts():
     assert _run_without_asserts(code) == "same"
 
 
-def test_true_error_failure_skips_the_point():
-    """A point whose true-error solve fails is left out of the records, with a warning."""
+def test_true_error_failure_skips_the_point(monkeypatch):
+    """A point whose pair-sum solve fails is left out of the records, with a warning."""
     sys_ = benchmarks.rc_ladder(5)
     ev = BoundEvaluator(sys_)
     grid = default_grid(num=10)
-    bad = complex(grid[3])
+    s1, bad = complex(grid[0]), complex(grid[3])
+    solve_once = transfer.PencilSolver.solve_once
 
-    def true_fn(batch, i):
-        if complex(grid[i]) == bad:
+    def failing_solve(self, s, b):
+        if s == s1 + bad:
             raise np.linalg.LinAlgError("singular")
-        return ev.true_error_at(batch, i)
+        return solve_once(self, s, b)
 
-    _, _, scanned = greedy._scan(ev.scan_1, grid, set(), ev)
-    with pytest.warns(UserWarning, match="skipping sample point"):
-        records = greedy._records(true_fn, scanned)
+    monkeypatch.setattr(transfer.PencilSolver, "solve_once", failing_solve)
+    _, _, scanned = greedy._scan(functools.partial(ev.scan_2, s1), grid, set(), ev)
+    assert np.isfinite(scanned.bounds).all()
+    true = ev.true_errors(scanned.batch, np.isfinite(scanned.bounds))
+    assert np.isnan(true[3]) and np.isfinite(np.delete(true, 3)).all()
+    with pytest.warns(UserWarning, match=re.escape(f"skipping sample point {grid[3]}")):
+        records = greedy._records(ev, scanned)
     assert [rec[0] for rec in records] == [complex(s) for s in grid if complex(s) != bad]
 
 
@@ -404,7 +410,7 @@ def _reduced_singular_scans():
         # s1 = 0 puts the pencil of delta2 at the grid point itself
         scans = [greedy._scan(ev.scan_1, grid, set(), ev),
                  greedy._scan(functools.partial(ev.scan_2, 0.0), grid, set(), ev)]
-        points = [[rec[0] for rec in greedy._records(ev.true_error_at, scanned)]
+        points = [[rec[0] for rec in greedy._records(ev, scanned)]
                   for _, _, scanned in scans]
     return grid, [str(w.message) for w in caught], points
 

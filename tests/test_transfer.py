@@ -11,7 +11,7 @@ import scipy.sparse as sp
 
 from qbmor import QBSystem, benchmarks, qb_model, transfer
 from qbmor.qb_model import SPARSE_FACTOR_N, apply_quadratic
-from conftest import random_qb, scalar_qb
+from conftest import descriptor_qb, random_qb, scalar_qb
 
 
 # H2 of the lifted RC ladder at pairs summing to 0, where sE - A is singular,
@@ -158,6 +158,22 @@ class TestPencilSolver:
         assert out.returncode == 0, out.stderr
         assert out.stdout.split() == ["raised"] * 2
 
+    @pytest.mark.parametrize("solve", ["solve", "solve_t"])
+    def test_corrupted_lu_trips_the_residual_check(self, rng, solve):
+        """Both cached-LU solves check their residual under __debug__, and only there."""
+        sys = random_qb(7, rng)
+        solver = transfer.PencilSolver(sys)
+        s = 1.5 + 0.5j
+        getattr(solver, solve)(s, sys.B)
+        solver._lu(s)[0][0, 0] *= 2.0
+        if __debug__:
+            with pytest.raises(AssertionError, match="lost accuracy"):
+                getattr(solver, solve)(s, sys.B)
+        else:
+            x = getattr(solver, solve)(s, sys.B)
+            G = s * sys.E - sys.A
+            assert not np.allclose((G.T if solve == "solve_t" else G) @ x, sys.B)
+
     def test_apply_matches_dense_pencil(self, rng):
         sys = random_qb(7, rng, with_mass=True)
         solver = transfer.PencilSolver(sys)
@@ -221,17 +237,20 @@ class TestSparsePencil:
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_numerically_singular_pencil_raises(self):
-        # lifted RC ladder l=64: A has rank 64 of 128, so sE - A is singular at s = 0
-        sys = benchmarks.rc_ladder(64)
-        assert sys.n == SPARSE_FACTOR_N and qb_model.sparse_factors(sys)
-        solver = transfer.PencilSolver(sys)
-        for solve in (lambda: transfer.solve_x1(sys, 0.0, solver),
-                      lambda: transfer.solve_y1(sys, 0.0, solver),
-                      lambda: solver.solve_once(0.0, sys.B)):
-            with pytest.raises(np.linalg.LinAlgError, match="singular"):
-                solve()
-        assert not solver._cache
-        transfer.solve_x1(sys, 1.0, solver)
+        # lifted RC ladder: A has rank l of 2 l, so sE - A is singular at s = 0;
+        # l = 50 is below the sparse cut (the band LU of solve_once), l = 64 on it
+        for ell in (50, 64):
+            sys = benchmarks.rc_ladder(ell)
+            assert qb_model.sparse_factors(sys) == (sys.n >= SPARSE_FACTOR_N)
+            solver = transfer.PencilSolver(sys)
+            for solve in (lambda: transfer.solve_x1(sys, 0.0, solver),
+                          lambda: transfer.solve_y1(sys, 0.0, solver),
+                          lambda: solver.solve_once(0.0, sys.B),
+                          lambda: solver.solve_once(0.0, (1.0 + 1.0j) * sys.B)):
+                with pytest.raises(np.linalg.LinAlgError, match="singular"):
+                    solve()
+            assert not solver._cache
+            transfer.solve_x1(sys, 1.0, solver)
 
     @pytest.mark.parametrize("n", [SPARSE_FACTOR_N - 1, SPARSE_FACTOR_N],
                              ids=["dense", "sparse"])
@@ -255,6 +274,44 @@ class TestSparsePencil:
             exact = np.linalg.norm(np.linalg.inv(z * sys.E - sys.A), 1)
             est = transfer._inv_norm1_estimate(lu, data.dtype)
             assert 0.3 * exact <= est <= exact * (1 + 1e-12)
+
+
+_BAND_SYSTEMS = {
+    "rc l=50": lambda: benchmarks.rc_ladder(50),
+    "burgers n=200": lambda: benchmarks.burgers(200, 0.01),
+    "burgers n=300": lambda: benchmarks.burgers(300, 0.01),
+    "fhn nbar=20": lambda: benchmarks.fitzhugh_nagumo(20),
+    "fhn nbar=50": lambda: benchmarks.fitzhugh_nagumo(50),
+    "random dense n=9": lambda: random_qb(9, np.random.default_rng(5), with_mass=True),
+    "descriptor": descriptor_qb,
+}
+
+
+class TestBandPencil:
+    """Point evaluations: a band LU of the RCM-ordered pencil below the sparse cut, SuperLU from it on."""
+
+    @pytest.mark.parametrize("name", sorted(_BAND_SYSTEMS))
+    def test_solve_once_matches_solve(self, name):
+        sys = _BAND_SYSTEMS[name]()
+        solver = transfer.PencilSolver(sys)
+        g = np.random.default_rng(sys.n)
+        b_complex = g.standard_normal(sys.n) + 1j * g.standard_normal(sys.n)
+        for s, b in [(5.4124, sys.B), (3.0 + 40.0j, sys.B), (119.5642, b_complex)]:
+            want = solver.solve(s, b)
+            got = solver.solve_once(s, b)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), s
+        assert (solver._band is not None) == (solver._pattern is None)
+
+    @pytest.mark.parametrize("make, bandwidths", [
+        (lambda: benchmarks.rc_ladder(50), (3, 3)),
+        (lambda: benchmarks.burgers(300, 0.01), (1, 1)),
+        (lambda: benchmarks.fitzhugh_nagumo(20), (36, 38)),
+    ], ids=["rc l=50", "burgers n=300", "fhn nbar=20"])
+    def test_rcm_bandwidths(self, make, bandwidths):
+        solver = transfer.PencilSolver(make())
+        band = transfer._BandPencil(solver.E, solver.A)
+        assert (band.kl, band.ku) == bandwidths
+        assert band.E.shape == band.A.shape == (2 * band.kl + band.ku + 1, solver.sys.n)
 
 
 @pytest.mark.parametrize("sys", [
