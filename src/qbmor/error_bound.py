@@ -15,16 +15,20 @@ columns of its bases that ``projection.square_bases`` selects; one
 ``_ReducedPair`` routine serves both subsystems, which differ only in the
 pencil frequency (s or s1 + s2) and the right-hand side (B or B2(s1, s2)).
 
-sigma_min(sE - A) = beta(s) is a dense ``svdvals`` of the pencil, in real
-arithmetic when s is real, cached per frequency by
-``transfer.PencilSolver`` next to the LU of the resolvent solves.  beta
-must not be overestimated, or delta would fall below the true error, so
-it is exact rather than a Krylov estimate: a Krylov iteration started
-from the previous frequency's singular vector can miss the smallest
-singular value of a decoupled system outright.
-``tests/test_error_bound.py::test_beta_matches_svdvals_on_grids``
-compares beta with the complex ``svdvals`` on the benchmark grids and on
-such a decoupled system.
+beta(s) = ``transfer.PencilSolver.sigma_min`` is cached per frequency next
+to the LU of the resolvent solves, in real arithmetic when s is real.  beta
+must not be overestimated, or delta would fall below the true error, so it
+is never a bare estimate: a Krylov iteration started from the previous
+frequency's singular vector can miss the smallest singular value of a
+decoupled system outright.  Below the sparse cut, and on pencils with a
+wide band, beta is the exact value from a dense ``svdvals``
+(``tests/test_error_bound.py::test_beta_matches_svdvals_on_grids``
+compares it with the complex ``svdvals`` on the benchmark grids and on
+such a decoupled system).  Above the cut on a narrow band it is a certified
+lower bound from band Cholesky factorizations, which only enlarges delta
+(``test_band_certificate_brackets_svdvals``: between 1 - 1e-6 times the
+complex ``svdvals`` and that value, on Burgers and on a decoupled system
+above the cut).
 
 The greedy needs the exact bound only at the maximizer of a grid scan;
 elsewhere num / beta_lb >= delta, with num = ||r_du|| ||r_pr|| and the

@@ -26,6 +26,14 @@ solves at.  It factors once without caching, in real arithmetic for real
 arguments: below the cut a LAPACK band LU of the pencil with its rows and
 columns in reverse Cuthill-McKee order (never dearer than the dense LU, far
 cheaper on a narrow band), from it on the same SuperLU factors as above.
+
+sigma_min(sE - A), the denominator of the error bounds, is a dense
+``svdvals`` below the cut and on wide bands (FitzHugh-Nagumo).  From the cut
+on, a pencil with a narrow reverse Cuthill-McKee band (Burgers: 1/1) gets a
+certified lower bound instead, at O(n (kl + ku)^2): bisection on band
+Cholesky factorizations of G^H G - (tau^2 + c) I, each of which proves
+sigma_min >= tau when it succeeds (Rump, BIT 46, 2006).  A lower bound
+keeps delta an upper bound of the true error.
 """
 
 from __future__ import annotations
@@ -55,16 +63,35 @@ __all__ = [
 
 _RESIDUAL_TOL = 1e-10
 _EPS = np.finfo(float).eps
+_U = _EPS / 2
 _TINY = np.finfo(float).tiny
 # rounding margin of sigma_min_lower, in units of n eps (|s| ||E|| + ||A||)
 _LOWER_MARGIN = 64
 # iterations of the Hager-Higham estimate, as in LAPACK xLACN2
 _NORM_EST_ITERS = 5
+# widest RCM band kl + ku of a pencil above the sparse cut whose sigma_min and
+# field of values are certified by band Cholesky; wider bands keep svdvals
+# and eigvalsh.  The band cost grows with n (kl + ku)^2 and svdvals' with n^3,
+# so the cut is where the two break even at n = 128, the sparse cut's
+# smallest n.  CPU ms per sigma_min of random band pencils there, one BLAS
+# thread, real (complex) s: kl + ku = 2: 0.74 against svdvals' 1.43;
+# 12: 1.14 (1.50) against 1.16 (1.71); 16: 1.44 (2.03) against 1.18 (1.87).
+# FitzHugh-Nagumo nbar = 43 (n = 129) has a band of 82/84.
+_CERT_BAND_MAX = 12
+# the band certificate: inverse-iteration steps of the estimate, the first
+# lower bracket est (1 - _EST_SLACK), and the bisection's relative width
+_EST_ITERS = 3
+_EST_SLACK = 1e-3
+_BISECT_RTOL = 1e-10
 
 
 def _norm2_bound(M):
-    """sqrt(||M||_1 ||M||_inf), a cheap upper bound on the spectral norm."""
-    return float(np.sqrt(np.linalg.norm(M, 1) * np.linalg.norm(M, np.inf)))
+    """sqrt(||M||_1 ||M||_inf), a cheap upper bound on the spectral norm of a dense or sparse M.
+
+    On a dense M the sums are those of ``np.linalg.norm``, bit for bit.
+    """
+    M = abs(M)
+    return float(np.sqrt(M.sum(axis=0).max() * M.sum(axis=1).max()))
 
 
 def _inv_norm1_estimate(lu, dtype):
@@ -104,6 +131,107 @@ def _inv_norm1_estimate(lu, dtype):
     return max(est, 2.0 * np.abs(lu.solve(alt.astype(dtype))).sum() / (3 * n))
 
 
+def _rcm_band(E, A):
+    """The reverse Cuthill-McKee order of the joint pattern of E and A: (perm, order, kl, ku).
+
+    Row and column i of the permuted pencil are row and column perm[i] of
+    the original, order is the inverse permutation, and kl and ku are the
+    permuted pattern's bandwidths below and above the diagonal.
+    """
+    pattern = (abs(E) + abs(A)).tocsr()
+    n = pattern.shape[0]
+    perm = reverse_cuthill_mckee(pattern, symmetric_mode=False)
+    order = np.empty(n, dtype=np.int64)
+    order[perm] = np.arange(n)
+    p = pattern.tocoo()
+    offsets = order[p.row] - order[p.col]
+    return perm, order, int(np.max(offsets, initial=0)), int(np.max(-offsets, initial=0))
+
+
+def _upper_band(M, order):
+    """The upper triangle of a Hermitian sparse M, rows and columns in `order`, as pbtrf reads it.
+
+    Entry (i, j), i <= j, of the permuted matrix sits in row b + i - j of
+    column j, where b, the number of rows less one, is the permuted
+    pattern's half-bandwidth.
+    """
+    M = M.tocoo()
+    i, j = order[M.row], order[M.col]
+    up = i <= j
+    i, j = i[up], j[up]
+    b = int(np.max(j - i, initial=0))
+    ab = np.zeros((b + 1, M.shape[0]), dtype=M.dtype)
+    ab[b + i - j, j] = M.data[up]
+    return ab
+
+
+def _certifies(ab, t, err):
+    """True if a band Cholesky proves lambda_min(K) >= t.
+
+    ab stores a Hermitian K~ of half-bandwidth b as :func:`_upper_band`
+    does, and K is any Hermitian matrix with ||K - K~||_2 <= err.  The test
+    runs LAPACK pbtrf on fl(K~ - (t + c) I) with the margin
+
+        c = 4 (b + 1)(b + 3) u (max_j |K~_jj| + |t|) + 2 err,   u = eps / 2.
+
+    If pbtrf runs to completion, its factor R has a positive diagonal, so
+    R^H R is positive definite, and R^H R = M~ + dM with |dM| <= gamma
+    |R|^H |R|, gamma = gamma_{b+3} = (b+3) u / (1 - (b+3) u), for the
+    Cholesky factorization of a band matrix, whose inner products have at
+    most b + 1 terms, in real or complex arithmetic (Demmel, LAPACK Working
+    Note 14, 1989; Higham, Accuracy and Stability of Numerical Algorithms,
+    2nd ed., Thm 10.3 and sec. 3.6).  |R|^H |R| has half-bandwidth b and
+    entries at most ||R e_i|| ||R e_j|| (Cauchy-Schwarz), and
+    ||R e_j||^2 <= M~_jj / (1 - gamma), so ||dM||_2 <= (2b + 1) gamma
+    max_j M~_jj / (1 - gamma).  M~ is K~ - (t + c) I with each diagonal
+    entry and the shift rounded once, an error of at most 2 u (D + c),
+    D = max_j |K~_jj| + |t| >= max_j M~_jj - c.  So lambda_min(K) >= t + c
+    - err - ||dM||_2 - 2 u (D + c), and c is more than twice the last three
+    terms to first order, which covers their second-order parts and the
+    rounding of c itself (Rump, BIT 46, 2006, verifies positive
+    definiteness the same way).  Underflow is not accounted for.
+    """
+    b = ab.shape[0] - 1
+    margin = 4 * (b + 1) * (b + 3) * _U * (np.abs(ab[b]).max() + abs(t)) + 2 * err
+    m = ab.copy()
+    m[b] -= t + margin
+    pbtrf = sla.get_lapack_funcs("pbtrf", (m,))
+    return pbtrf(m, lower=0, overwrite_ab=1)[1] == 0
+
+
+def _bisect(ok, lo, hi, tol):
+    """The largest t of [lo, hi] that bisection to width tol finds with ok(t), given ok(lo).
+
+    ok must hold up to some threshold and fail above it; lo stays a point
+    where ok holds.
+    """
+    while hi - lo > tol and lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (mid, hi) if ok(mid) else (lo, mid)
+    return lo
+
+
+def _lambda_min_lower(M, order):
+    """A certified lower bound on lambda_min of a real symmetric sparse M, by band Cholesky.
+
+    M is the symmetric part (X + X^T) / 2 of E or A, or its negative, formed
+    with an error of at most u |M| entrywise, so err = eps ||M||_1 covers it
+    in :func:`_certifies`.  lambda_min lies in [min_j M_jj - 3 ||M||_1,
+    min_j M_jj]; the bound is bisected there to 1e-10 of the bracket.
+    """
+    ab = _upper_band(M, order)
+    scale = _norm2_bound(M)
+
+    def ok(t):
+        return _certifies(ab, t, _EPS * scale)
+
+    hi = ab[-1].min()
+    # M - lo I >= ||M||_1 I; the smallest normal number keeps the bracket open for M = 0
+    lo = hi - 3 * scale - _TINY
+    if not ok(lo):
+        raise np.linalg.LinAlgError("no certified field of values: E or A is not finite")
+    return _bisect(ok, lo, hi, _BISECT_RTOL * (hi - lo))
+
+
 class _BandPencil:
     """zE - A in LAPACK band storage, its rows and columns in reverse Cuthill-McKee order.
 
@@ -123,14 +251,8 @@ class _BandPencil:
     """
 
     def __init__(self, E, A):
-        pattern = (abs(E) + abs(A)).tocsr()
-        n = pattern.shape[0]
-        self.perm = reverse_cuthill_mckee(pattern, symmetric_mode=False)
-        order = np.empty(n, dtype=np.int64)
-        order[self.perm] = np.arange(n)
-        p = pattern.tocoo()
-        offsets = order[p.row] - order[p.col]
-        self.kl, self.ku = int(np.max(offsets, initial=0)), int(np.max(-offsets, initial=0))
+        n = E.shape[0]
+        self.perm, order, self.kl, self.ku = _rcm_band(E, A)
 
         def banded(M):
             M = M.tocoo()
@@ -185,16 +307,25 @@ class PencilSolver:
     built on first use), from it on the same SuperLU factors.  E, A and N
     are also held as CSR, for products with them.
 
+    Above the cut, a pencil whose reverse Cuthill-McKee band kl + ku is at
+    most _CERT_BAND_MAX has its sigma_min (:meth:`_certified_sigma_min`) and
+    the field-of-values data of :meth:`sigma_min_lower` certified by band
+    Cholesky, and runs no dense O(n^3) kernel; elsewhere they are dense
+    ``svdvals`` and ``eigvalsh``.
+
     A frequency where sE - A is numerically singular raises
     ``np.linalg.LinAlgError``: the reciprocal condition estimate
     1 / (||G||_1 est ||G^{-1}||_1) of its factors is below machine epsilon
     (LAPACK gecon on a dense LU, gbcon on a band LU; the same Hager-Higham
     estimate on SuperLU factors, which also report an exactly singular
-    pencil), or sigma_min / sigma_max is below n times it.  Every cached
-    sigma_min is also an anchor of the Weyl bound in :meth:`sigma_min_lower`.
+    pencil), or sigma_min / sigma_max is below n times it (on the band
+    path: the certified sigma_min is below n eps sqrt(||G||_1 ||G||_inf)).
+    Every cached sigma_min is also an anchor of the Weyl bound in
+    :meth:`sigma_min_lower`.
 
     ``counts`` tallies factorizations, cached and one-shot, and sigma_min
-    evaluations since construction.
+    evaluations since construction; the SuperLU factorization of a band
+    sigma_min counts as a sigma_min evaluation only.
     """
 
     def __init__(self, sys: QBSystem):
@@ -206,9 +337,13 @@ class PencilSolver:
         # column of a block, which a dense GEMM and GEMV are not
         self.N = sp.csr_matrix(sys.N)
         self._pattern = None
+        self._order = None
         if sparse_factors(sys):
             self._pattern = CscPattern(sys.n, (self.E, self.A))
             self._Ep, self._Ap = self._pattern.values(self.E), self._pattern.values(self.A)
+            _, order, kl, ku = _rcm_band(self.E, self.A)
+            if kl + ku <= _CERT_BAND_MAX:
+                self._order = order
         self.counts = {"factorizations": 0, "sigma_min_evals": 0}
         self._fov = None
         self._band = None
@@ -318,13 +453,19 @@ class PencilSolver:
         return self._cached(s, "x1", compute)
 
     def sigma_min(self, s):
-        """Smallest singular value of sE - A, from a dense SVD.
+        """Smallest singular value of sE - A: an SVD, or a certified lower bound on narrow bands.
 
         A real s keeps the pencil real: the singular values are the same
-        and the real SVD is cheaper than the complex one.
+        and real arithmetic is cheaper than complex.  Above the sparse cut on
+        a band kl + ku <= _CERT_BAND_MAX the value is
+        :meth:`_certified_sigma_min`, at most the exact one and below it by
+        about c / (2 sigma_min^2) + 1e-10 relative, c the certificate's
+        margin; elsewhere it is ``svdvals``'.
         """
         def compute(key):
             z = key.real if key.imag == 0 else key
+            if self._order is not None:
+                return self._certified_sigma_min(z)
             sv = sla.svdvals(z * self.sys.E - self.sys.A)
             self.counts["sigma_min_evals"] += 1
             # kappa_1 <= n kappa_2: a pencil accepted here also passes the
@@ -336,6 +477,66 @@ class PencilSolver:
             return float(sv[-1])
         return self._cached(s, "sigma_min", compute)
 
+    def _certified_sigma_min(self, z):
+        """A certified lower bound on sigma_min(G), G = zE - A, by band Cholesky of G^H G.
+
+        G is the pencil as rounded into floating point, which ``svdvals``
+        takes too.  The estimate est = ||G v|| / ||v|| after three steps of
+        inverse iteration v <- G^{-1} G^{-H} v from a fixed random v, on one
+        SuperLU factorization, is at least sigma_min.  tau is certified where
+        :func:`_certifies` proves lambda_min(G^H G) >= fl(tau^2) on G^H G
+        formed sparse and stored as a band in reverse Cuthill-McKee order:
+        each entry is an inner product of at most w terms, w the most
+        nonzeros of a column of G, so it is off by at most gamma_{w+2}
+        (|G|^H |G|), and err = (w + 3) u ||G||_1 ||G||_inf bounds that in
+        norm.  The margin c of the certificate is thus
+
+            c = 4 (b + 1)(b + 3) u (max_j (G^H G)_jj + tau^2)
+                + 2 (w + 3) u ||G||_1 ||G||_inf,
+
+        with b the half-bandwidth of G^H G (at most kl + ku).  The lower
+        bracket starts at est (1 - 1e-3) and is halved until certified, then
+        bisected up to est to 1e-10 relative.  The result, the last certified
+        tau less eps relative for the rounding of tau^2, rests only on
+        Cholesky factorizations that succeeded, never on the estimate.
+
+        Raises ``np.linalg.LinAlgError`` where SuperLU finds the pencil
+        exactly singular or no tau above n eps sqrt(||G||_1 ||G||_inf) is
+        certified.
+        """
+        self.counts["sigma_min_evals"] += 1
+        data = z * self._Ep - self._Ap
+        try:
+            lu = self._pattern.splu(data)
+        except np.linalg.LinAlgError as exc:
+            raise np.linalg.LinAlgError(
+                f"pencil sE - A singular at s = {complex(z)} ({exc})") from exc
+        P = self._pattern.matrix
+        G = sp.csc_matrix((data, P.indices, P.indptr), shape=P.shape)
+        v = np.random.default_rng(0).standard_normal(self.sys.n)
+        for _ in range(_EST_ITERS):
+            v = lu.solve(lu.solve(v, trans="H"))
+            v = v / np.linalg.norm(v)
+        est = np.linalg.norm(G @ v)
+        norm_G = _norm2_bound(G)
+        floor = self.sys.n * _EPS * norm_G
+        H = _upper_band(G.conj().T @ G, self._order)
+        w = np.diff(P.indptr).max()
+        err = (w + 3) * _U * norm_G ** 2
+
+        def ok(tau):
+            return _certifies(H, tau * tau, err)
+
+        hi = est if est <= norm_G else norm_G  # sigma_min <= ||G||_2 <= norm_G; also if est is NaN
+        tau = hi * (1 - _EST_SLACK)
+        while tau > floor and not ok(tau):
+            hi, tau = tau, 0.5 * tau
+        sigma = _bisect(ok, tau, hi, _BISECT_RTOL * hi) * (1 - _EPS) if tau > floor else 0.0
+        if not sigma > floor:
+            raise np.linalg.LinAlgError(
+                f"pencil sE - A singular at s = {complex(z)} (sigma_min below {floor:.1e})")
+        return float(sigma)
+
     def cached_sigma_min(self, s):
         """sigma_min(sE - A) if already computed, else None."""
         entry = self._cache.get(complex(s))
@@ -345,13 +546,22 @@ class PencilSolver:
         """Spectral data of the lower bounds, computed once per solver.
 
         lambda_min and lambda_max of E_s, a bound on ||E_k||, lambda_max of
-        A_s, and the bounds sqrt(||.||_1 ||.||_inf) on ||E|| and ||A||.
+        A_s, and the bounds sqrt(||.||_1 ||.||_inf) on ||E|| and ||A||.  The
+        eigenvalues come from dense ``eigvalsh``, except on the band path of
+        :meth:`sigma_min`, where band Cholesky tests on E_s - mu I, nu I - E_s
+        and nu I - A_s bound them outward (:func:`_lambda_min_lower`).
         """
-        if self._fov is None:
+        if self._fov is None and self._order is None:
             E, A = self.sys.E, self.sys.A
             lam_E = sla.eigvalsh(0.5 * (E + E.T))
             self._fov = (lam_E[0], lam_E[-1], _norm2_bound(0.5 * (E - E.T)),
                          sla.eigvalsh(0.5 * (A + A.T))[-1], _norm2_bound(E), _norm2_bound(A))
+        elif self._fov is None:
+            E, A, order = self.E, self.A, self._order
+            E_s, A_s = 0.5 * (E + E.T), 0.5 * (A + A.T)
+            self._fov = (_lambda_min_lower(E_s, order), -_lambda_min_lower(-E_s, order),
+                         _norm2_bound(0.5 * (E - E.T)), -_lambda_min_lower(-A_s, order),
+                         _norm2_bound(E), _norm2_bound(A))
         return self._fov
 
     def sigma_min_lower(self, s):
@@ -373,6 +583,9 @@ class PencilSolver:
         margin at s is 64 n eps (|s| ||E|| + ||A||), which bounds the
         backward errors of ``svdvals`` and ``eigvalsh`` and the rounding of
         the bounds themselves; the Weyl bound also subtracts the margin at t.
+        On the band path of :meth:`sigma_min` the anchors and the
+        field-of-values data are certified bounds themselves, so there the
+        margin only adds slack.
         """
         z = np.atleast_1d(np.asarray(s, dtype=complex))
         lam_E_min, lam_E_max, norm_Ek, lam_A_max, eta_E, eta_A = self._field_of_values()

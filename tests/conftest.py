@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from qbmor import QBSystem
+from qbmor.qb_model import SPARSE_FACTOR_N
 
 
 def random_qb(n, rng, q_scale=0.1, n_scale=0.1, with_mass=False, density=0.3):
@@ -41,6 +42,19 @@ def descriptor_qb():
     A = -5 * np.eye(n) + 0.5 * rng.standard_normal((n, n)) / np.sqrt(n)
     return QBSystem.from_operators(E, A, np.zeros((n, n)), sp.csr_matrix((n, n * n)),
                                    np.ones(n), np.ones(n))
+
+
+def near_singular_diagonal_qb():
+    """E = I and A diagonal at n = SPARSE_FACTOR_N, with 1 E - A = diag(2, ..., 2, 1e-14).
+
+    At s = 1 the pencil's rcond (5e-15) passes the eps test, but sigma_min
+    is below n eps ||sE - A||, so the sigma_min test refuses it.
+    """
+    n = SPARSE_FACTOR_N
+    a = np.full(n, -1.0)
+    a[-1] = 1.0 - 1e-14
+    return QBSystem.from_operators(np.eye(n), np.diag(a), np.zeros((n, n)),
+                                   sp.csr_matrix((n, n * n)), np.ones(n), np.ones(n))
 
 
 def scalar_qb(a=1.0, q=0.5, nu=0.0):

@@ -21,6 +21,7 @@ import qbmor
 from qbmor import QBSystem, load_system, qb_model, save_system
 from qbmor.cli import _system_sha256, main
 from qbmor.greedy import read_trace
+from conftest import near_singular_diagonal_qb
 
 
 @pytest.fixture
@@ -378,6 +379,24 @@ class TestExitCodes:
         assert res.exit_code == 3, res.output
         assert type(res.exception) is SystemExit
         assert "error: no finite bound value" in res.output
+
+    @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["python", "python -O"])
+    def test_all_grid_points_singular_above_sparse_cut_exit_numerical(self, tmp_path, flags):
+        # at the only grid point, s = 1, the solves pass the rcond test, but the
+        # band-certified sigma_min is below n eps ||sE - A||
+        sysdir = tmp_path / "near_singular"
+        save_system(near_singular_diagonal_qb(), sysdir)
+        cfg = _greedy_config(tmp_path, grid_lo=1, grid_hi=1, grid_num=1)
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(src), os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run(
+            [sys.executable, *flags, "-W", "ignore", "-m", "qbmor.cli", "reduce", "greedy",
+             "--system", str(sysdir), "--config", str(cfg), "--out", str(tmp_path / "run")],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert out.returncode == 3, out.stderr
+        assert out.stderr.startswith("error: no finite bound value")
+        assert "Traceback" not in out.stderr
 
     def test_manifest_without_n_exit_config(self, tmp_path, runner, burgers_dir):
         manifest = burgers_dir / "manifest.json"

@@ -9,7 +9,7 @@ from qbmor import benchmarks, projection, transfer
 from qbmor.error_bound import BoundEvaluator, beta
 from qbmor.greedy import default_grid
 from qbmor.qb_model import QBSystem
-from conftest import descriptor_qb, random_qb
+from conftest import descriptor_qb, near_singular_diagonal_qb, random_qb
 from test_greedy import _LAZY_SCAN_CASES
 
 
@@ -40,17 +40,17 @@ def test_beta_cache_reused(rng):
     assert ev.beta(2.0) == -1.0
 
 
-def _decoupled_qb():
-    """A lightly damped oscillator and six real modes, with no coupling.
+def _decoupled_qb(n=8):
+    """A lightly damped oscillator and n - 2 real modes -1, -2, ..., with no coupling.
 
     sigma_min(sE - A) moves from one part to the other along the grids, and
     the singular vectors of one part have no component in the other.  A
     Krylov estimate started from the previous frequency's singular vector
     therefore stays in the wrong part and overestimates sigma_min by up to
-    67% on these grids.
+    67% on these grids (n = 8).  Its Q is sparse, so from n = 128 on the
+    system is above the sparse cut.
     """
-    A = sla.block_diag([[-0.1, 10.0], [-10.0, -0.1]], np.diag([-1.0, -2, -3, -4, -5, -6]))
-    n = A.shape[0]
+    A = sla.block_diag([[-0.1, 10.0], [-10.0, -0.1]], -np.diag(np.arange(1.0, n - 1)))
     return QBSystem.from_operators(np.eye(n), A, np.zeros((n, n)), sp.csr_matrix((n, n * n)),
                                    np.ones(n), np.ones(n))
 
@@ -99,7 +99,7 @@ def test_beta_matches_svdvals_on_grids(name):
         assert solver.counts == {"factorizations": 0, "sigma_min_evals": len(ref)}
 
 
-@pytest.mark.parametrize("name", sorted(_GRID_SYSTEMS) + ["descriptor"])
+@pytest.mark.parametrize("name", sorted(_GRID_SYSTEMS) + ["descriptor", "burgers n=200"])
 def test_sigma_min_lower_is_certified(name):
     """sigma_min_lower never exceeds the complex dense svdvals, and needs no factorization.
 
@@ -108,7 +108,7 @@ def test_sigma_min_lower_is_certified(name):
     where the sigma_min already computed serve as Weyl anchors; once
     sigma_min(t) is cached the bound at t is that value.
     """
-    sys = descriptor_qb() if name == "descriptor" else _GRID_SYSTEMS[name]()
+    sys = {"descriptor": descriptor_qb, **_BAND_SYSTEMS, **_GRID_SYSTEMS}[name]()
     points = np.concatenate([_grid_points(), -0.5 * default_grid()[::7]])
     ref = _svdvals_min(sys, points)
     for order in _visiting_orders(points):
@@ -120,6 +120,90 @@ def test_sigma_min_lower_is_certified(name):
             sigma = solver.sigma_min(s)
             assert solver.sigma_min_lower(s) == sigma
         assert solver.counts == {"factorizations": 0, "sigma_min_evals": len(ref)}
+
+
+# systems above the sparse cut whose pencils have a narrow reverse Cuthill-McKee band
+_BAND_SYSTEMS = {
+    "burgers n=200": lambda: benchmarks.burgers(200, 0.01),
+    "burgers n=300": lambda: benchmarks.burgers(300, 0.01),
+    "decoupled n=200": lambda: _decoupled_qb(200),
+}
+
+
+def _count_calls(monkeypatch, module, name):
+    """Replace module.name with a wrapper that counts its calls; returns the count list."""
+    calls = []
+    kernel = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(_BAND_SYSTEMS))
+def test_band_certificate_brackets_svdvals(name, monkeypatch):
+    """The band-Cholesky sigma_min lies between (1 - 1e-6) svdvals and the complex svdvals.
+
+    On the real, imaginary and pair-sum grids, visited forward, reversed
+    and shuffled, with no dense svdvals and no factorization counted.
+    """
+    sys = _BAND_SYSTEMS[name]()
+    points = _grid_points()
+    ref = _svdvals_min(sys, points)
+    svdvals = _count_calls(monkeypatch, transfer.sla, "svdvals")
+    for order in _visiting_orders(points):
+        solver = transfer.PencilSolver(sys)
+        assert solver._order is not None
+        for s in order:
+            sigma, exact = solver.sigma_min(s), ref[complex(s)]
+            assert (1 - 1e-6) * exact <= sigma <= exact, (name, s, sigma / exact - 1)
+        assert solver.counts == {"factorizations": 0, "sigma_min_evals": len(ref)}
+    assert not svdvals
+
+
+@pytest.mark.parametrize("name", sorted(_BAND_SYSTEMS))
+def test_band_field_of_values_bounds_eigvalsh_outward(name, monkeypatch):
+    sys = _BAND_SYSTEMS[name]()
+    E, A = sys.E, sys.A
+    lam_E = sla.eigvalsh(0.5 * (E + E.T))
+    lam_A = sla.eigvalsh(0.5 * (A + A.T))[-1]
+    eigvalsh = _count_calls(monkeypatch, transfer.sla, "eigvalsh")
+    lam_E_min, lam_E_max, _, lam_A_max, _, eta_A = transfer.PencilSolver(sys)._field_of_values()
+    assert not eigvalsh
+    assert lam_E_min <= lam_E[0] and lam_E_max >= lam_E[-1] and lam_A_max >= lam_A
+    tol = 1e-9 * max(abs(lam_E).max(), eta_A)
+    assert lam_E[0] - lam_E_min <= tol and lam_E_max - lam_E[-1] <= tol
+    assert lam_A_max - lam_A <= tol
+
+
+def test_wide_band_keeps_svdvals(monkeypatch):
+    """FitzHugh-Nagumo nbar=43 is above the sparse cut, but its band is about n wide."""
+    sys = benchmarks.fitzhugh_nagumo(43)
+    svdvals = _count_calls(monkeypatch, transfer.sla, "svdvals")
+    eigvalsh = _count_calls(monkeypatch, transfer.sla, "eigvalsh")
+    solver = transfer.PencilSolver(sys)
+    assert solver._pattern is not None and solver._order is None
+    _, _, kl, ku = transfer._rcm_band(solver.E, solver.A)
+    assert kl + ku > transfer._CERT_BAND_MAX
+    sigma = solver.sigma_min(10.0)
+    assert len(svdvals) == 1 and sigma == sla.svdvals(10.0 * sys.E - sys.A)[-1]
+    solver.sigma_min_lower(20.0)
+    assert len(eigvalsh) == 2
+
+
+@pytest.mark.parametrize("make,s", [(lambda: benchmarks.rc_ladder(64), 0.0),
+                                    (near_singular_diagonal_qb, 1.0)],
+                         ids=["rc l=64, exactly singular", "numerically singular"])
+def test_band_certificate_refuses_singular_pencils(make, s):
+    sys = make()
+    solver = transfer.PencilSolver(sys)
+    assert solver._order is not None
+    with pytest.raises(np.linalg.LinAlgError, match="singular"):
+        solver.sigma_min(s)
+    assert solver.cached_sigma_min(s) is None and not solver._cache
 
 
 class TestEmptyBases:
