@@ -110,20 +110,6 @@ class GreedyResult:
     validation: list = field(default_factory=list)
 
 
-def _argmax_scan(values):
-    """Index of the maximum; ties break toward the first index.
-
-    Raises LinAlgError if no value is finite: every bound evaluation failed.
-    """
-    best, best_i = -np.inf, None
-    for i, v in enumerate(values):
-        if np.isfinite(v) and v > best:
-            best, best_i = v, i
-    if best_i is None:
-        raise np.linalg.LinAlgError("no finite bound value at any sample grid point")
-    return best_i, best
-
-
 def run_greedy(sys, cfg):
     """Greedy interpolation-point selection driven by delta1/delta2.
 
@@ -241,8 +227,10 @@ def _scan(batch_fn, grid, used, ev):
         vals[i] = exact[i]
         if np.isfinite(exact[i]):
             best = max(best, exact[i])
-    i, best = _argmax_scan(exact)
-    return complex(candidates[i]), best, _Scanned(candidates, vals, batch)
+    if np.isnan(exact).all():
+        raise np.linalg.LinAlgError("no finite bound value at any sample grid point")
+    i = np.nanargmax(exact)
+    return complex(candidates[i]), exact[i], _Scanned(candidates, vals, batch)
 
 
 def _records(ev, scanned):

@@ -255,12 +255,22 @@ class InputSignal:
         "cosine_pi": {"a": 1.0},
         "cubic_pulse": {"a": 5.0e4, "b": 15.0},
         "zero": {},
-        "table": {},
+        "table": {"times": None, "values": None},
     }
 
     def __post_init__(self):
         if self.kind not in self._DEFAULTS:
             raise ValueError(f"unknown input kind {self.kind!r}")
+        unknown = set(self.params) - set(self._DEFAULTS[self.kind])
+        if unknown:
+            raise ValueError(f"input kind {self.kind!r} has no parameter {sorted(unknown)}")
+        if self.kind == "table":
+            times = np.asarray(self.params.get("times", ()), dtype=float)
+            values = np.asarray(self.params.get("values", ()), dtype=float)
+            if not (times.ndim == values.ndim == 1 and 0 < times.size == values.size
+                    and np.all(np.diff(times) > 0)):
+                raise ValueError("a table input needs 1-D times and values of equal length, "
+                                 "times strictly increasing")
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)

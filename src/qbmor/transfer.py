@@ -30,10 +30,11 @@ cheaper on a narrow band), from it on the same SuperLU factors as above.
 sigma_min(sE - A), the denominator of the error bounds, is a dense
 ``svdvals`` below the cut and on wide bands (FitzHugh-Nagumo).  From the cut
 on, a pencil with a narrow reverse Cuthill-McKee band (Burgers: 1/1) gets a
-certified lower bound instead, at O(n (kl + ku)^2): bisection on band
-Cholesky factorizations of G^H G - (tau^2 + c) I, each of which proves
-sigma_min >= tau when it succeeds (Rump, BIT 46, 2006).  A lower bound
-keeps delta an upper bound of the true error.
+certified lower bound instead, at O(n (kl + ku)^2) and with no
+factorization of G = sE - A itself: bisection, down from the smallest column
+norm of G, on band Cholesky factorizations of G^H G - (tau^2 + c) I, each of
+which proves sigma_min >= tau when it succeeds (Rump, BIT 46, 2006).  A
+lower bound keeps delta an upper bound of the true error.
 """
 
 from __future__ import annotations
@@ -78,10 +79,7 @@ _NORM_EST_ITERS = 5
 # 12: 1.14 (1.50) against 1.16 (1.71); 16: 1.44 (2.03) against 1.18 (1.87).
 # FitzHugh-Nagumo nbar = 43 (n = 129) has a band of 82/84.
 _CERT_BAND_MAX = 12
-# the band certificate: inverse-iteration steps of the estimate, the first
-# lower bracket est (1 - _EST_SLACK), and the bisection's relative width
-_EST_ITERS = 3
-_EST_SLACK = 1e-3
+# relative width of the band certificate's bisection
 _BISECT_RTOL = 1e-10
 
 
@@ -324,8 +322,7 @@ class PencilSolver:
     :meth:`sigma_min_lower`.
 
     ``counts`` tallies factorizations, cached and one-shot, and sigma_min
-    evaluations since construction; the SuperLU factorization of a band
-    sigma_min counts as a sigma_min evaluation only.
+    evaluations since construction.
     """
 
     def __init__(self, sys: QBSystem):
@@ -481,54 +478,38 @@ class PencilSolver:
         """A certified lower bound on sigma_min(G), G = zE - A, by band Cholesky of G^H G.
 
         G is the pencil as rounded into floating point, which ``svdvals``
-        takes too.  The estimate est = ||G v|| / ||v|| after three steps of
-        inverse iteration v <- G^{-1} G^{-H} v from a fixed random v, on one
-        SuperLU factorization, is at least sigma_min.  tau is certified where
-        :func:`_certifies` proves lambda_min(G^H G) >= fl(tau^2) on G^H G
-        formed sparse and stored as a band in reverse Cuthill-McKee order:
-        each entry is an inner product of at most w terms, w the most
-        nonzeros of a column of G, so it is off by at most gamma_{w+2}
-        (|G|^H |G|), and err = (w + 3) u ||G||_1 ||G||_inf bounds that in
-        norm.  The margin c of the certificate is thus
+        takes too.  tau is certified where :func:`_certifies` proves
+        lambda_min(G^H G) >= fl(tau^2) on G^H G formed sparse and stored as
+        a band in reverse Cuthill-McKee order: each entry is an inner
+        product of at most w terms, w the most nonzeros of a column of G, so
+        it is off by at most gamma_{w+2} (|G|^H |G|), and
+        err = (w + 3) u ||G||_1 ||G||_inf bounds that in norm.  The margin c
+        of the certificate is thus
 
             c = 4 (b + 1)(b + 3) u (max_j (G^H G)_jj + tau^2)
                 + 2 (w + 3) u ||G||_1 ||G||_inf,
 
-        with b the half-bandwidth of G^H G (at most kl + ku).  The lower
-        bracket starts at est (1 - 1e-3) and is halved until certified, then
-        bisected up to est to 1e-10 relative.  The result, the last certified
-        tau less eps relative for the rounding of tau^2, rests only on
-        Cholesky factorizations that succeeded, never on the estimate.
+        with b the half-bandwidth of G^H G (at most kl + ku).  The bracket
+        starts at the smallest column norm sqrt(min_j (G^H G)_jj) = min_j
+        ||G e_j||, which is at least sigma_min; its lower end is halved from
+        there until certified, then bisected up to 1e-10 relative.  The
+        result, the last certified tau less eps relative for the rounding of
+        tau^2, rests only on Cholesky factorizations that succeeded.
 
-        Raises ``np.linalg.LinAlgError`` where SuperLU finds the pencil
-        exactly singular or no tau above n eps sqrt(||G||_1 ||G||_inf) is
-        certified.
+        Raises ``np.linalg.LinAlgError`` where no tau above
+        n eps sqrt(||G||_1 ||G||_inf) is certified, as on a singular pencil.
         """
         self.counts["sigma_min_evals"] += 1
-        data = z * self._Ep - self._Ap
-        try:
-            lu = self._pattern.splu(data)
-        except np.linalg.LinAlgError as exc:
-            raise np.linalg.LinAlgError(
-                f"pencil sE - A singular at s = {complex(z)} ({exc})") from exc
-        P = self._pattern.matrix
-        G = sp.csc_matrix((data, P.indices, P.indptr), shape=P.shape)
-        v = np.random.default_rng(0).standard_normal(self.sys.n)
-        for _ in range(_EST_ITERS):
-            v = lu.solve(lu.solve(v, trans="H"))
-            v = v / np.linalg.norm(v)
-        est = np.linalg.norm(G @ v)
+        G = z * self.E - self.A
         norm_G = _norm2_bound(G)
         floor = self.sys.n * _EPS * norm_G
         H = _upper_band(G.conj().T @ G, self._order)
-        w = np.diff(P.indptr).max()
-        err = (w + 3) * _U * norm_G ** 2
+        err = (G.getnnz(axis=0).max() + 3) * _U * norm_G ** 2
 
         def ok(tau):
             return _certifies(H, tau * tau, err)
 
-        hi = est if est <= norm_G else norm_G  # sigma_min <= ||G||_2 <= norm_G; also if est is NaN
-        tau = hi * (1 - _EST_SLACK)
+        hi = tau = np.sqrt(H[-1].real.min())
         while tau > floor and not ok(tau):
             hi, tau = tau, 0.5 * tau
         sigma = _bisect(ok, tau, hi, _BISECT_RTOL * hi) * (1 - _EPS) if tau > floor else 0.0

@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from qbmor import benchmarks, projection, transfer
+from qbmor import benchmarks, projection, qb_model, transfer
 from qbmor.error_bound import BoundEvaluator, beta
 from qbmor.greedy import default_grid
 from qbmor.qb_model import QBSystem
@@ -122,11 +122,22 @@ def test_sigma_min_lower_is_certified(name):
         assert solver.counts == {"factorizations": 0, "sigma_min_evals": len(ref)}
 
 
+def _diagonal_qb(n=128):
+    """E = I and A = -diag(1, ..., n) at the sparse cut, with a sparse Q.
+
+    sigma_min(sE - A) = min_j |s + j| is the smallest column norm of the
+    pencil, where the band certificate starts its search.
+    """
+    return QBSystem.from_operators(np.eye(n), -np.diag(np.arange(1.0, n + 1)), np.zeros((n, n)),
+                                   sp.csr_matrix((n, n * n)), np.ones(n), np.ones(n))
+
+
 # systems above the sparse cut whose pencils have a narrow reverse Cuthill-McKee band
 _BAND_SYSTEMS = {
     "burgers n=200": lambda: benchmarks.burgers(200, 0.01),
     "burgers n=300": lambda: benchmarks.burgers(300, 0.01),
     "decoupled n=200": lambda: _decoupled_qb(200),
+    "diagonal n=128": _diagonal_qb,
 }
 
 
@@ -148,12 +159,14 @@ def test_band_certificate_brackets_svdvals(name, monkeypatch):
     """The band-Cholesky sigma_min lies between (1 - 1e-6) svdvals and the complex svdvals.
 
     On the real, imaginary and pair-sum grids, visited forward, reversed
-    and shuffled, with no dense svdvals and no factorization counted.
+    and shuffled, with no dense svdvals, no SuperLU factorization and no
+    factorization counted.
     """
     sys = _BAND_SYSTEMS[name]()
     points = _grid_points()
     ref = _svdvals_min(sys, points)
     svdvals = _count_calls(monkeypatch, transfer.sla, "svdvals")
+    splu = _count_calls(monkeypatch, qb_model.CscPattern, "splu")
     for order in _visiting_orders(points):
         solver = transfer.PencilSolver(sys)
         assert solver._order is not None
@@ -162,6 +175,7 @@ def test_band_certificate_brackets_svdvals(name, monkeypatch):
             assert (1 - 1e-6) * exact <= sigma <= exact, (name, s, sigma / exact - 1)
         assert solver.counts == {"factorizations": 0, "sigma_min_evals": len(ref)}
     assert not svdvals
+    assert not splu
 
 
 @pytest.mark.parametrize("name", sorted(_BAND_SYSTEMS))

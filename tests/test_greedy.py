@@ -323,8 +323,9 @@ def _exhaustive_scan(batch_fn, grid, used, ev):
             vals.append(num / ev.beta(z) if np.isfinite(num) else np.nan)
         except np.linalg.LinAlgError:
             vals.append(np.nan)
-    i, best = greedy._argmax_scan(vals)
-    return complex(candidates[i]), best, greedy._Scanned(candidates, np.array(vals), batch)
+    vals = np.array(vals)
+    i = np.nanargmax(vals)
+    return complex(candidates[i]), vals[i], greedy._Scanned(candidates, vals, batch)
 
 
 _LAZY_SCAN_CASES = {

@@ -152,6 +152,22 @@ class TestInputSignal:
         with pytest.raises(ValueError, match="unknown input kind"):
             InputSignal("ramp")
 
+    @pytest.mark.parametrize("kind,params", [
+        ("exp_decay", {"c": 1.0}),
+        ("zero", {"a": 1.0}),
+        ("table", {}),
+        ("table", {"times": [0.0, 1.0]}),
+        ("table", {"times": [0.0, 1.0], "values": [1.0]}),
+        ("table", {"times": [1.0, 0.0], "values": [1.0, 2.0]}),
+        ("table", {"times": [0.0, 0.0], "values": [1.0, 2.0]}),
+        ("table", {"times": [[0.0, 1.0]], "values": [[1.0, 2.0]]}),
+        ("table", {"times": [], "values": []}),
+        ("table", {"times": [0.0, 1.0], "values": [1.0, 2.0], "a": 1.0}),
+    ])
+    def test_bad_parameters_rejected(self, kind, params):
+        with pytest.raises(ValueError):
+            InputSignal(kind, params)
+
     def test_vectorized(self):
         t = np.array([-1.0, 0.0, 1.0])
         vals = InputSignal("exp_decay")(t)
