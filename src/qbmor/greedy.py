@@ -225,8 +225,7 @@ def _scan(batch_fn, grid, used, ev):
             vals[i] = np.nan
             continue
         vals[i] = exact[i]
-        if np.isfinite(exact[i]):
-            best = max(best, exact[i])
+        best = max(best, exact[i])
     if np.isnan(exact).all():
         raise np.linalg.LinAlgError("no finite bound value at any sample grid point")
     i = np.nanargmax(exact)
