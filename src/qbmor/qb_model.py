@@ -21,11 +21,13 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.io import mmread, mmwrite
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 __all__ = [
     "QBSystem",
     "InputSignal",
     "SPARSE_FACTOR_N",
+    "BAND_MAX",
     "sparse_factors",
     "quadratic_gather",
     "apply_quadratic",
@@ -43,9 +45,27 @@ _REGULARITY_PROBES = (1.0, 10.0, 100.0, 1.0 + 1.0j)
 DENSE_Q_FILL = 0.5
 #: state dimension from which a system with a sparse Q is held sparse and its
 #: linear systems (the pencils zE - A in transfer, the Newton Jacobians in
-#: sim) are factored with SuperLU; implicit Euler on the RC ladder and
-#: Burgers is faster so from n = 120 on, slower at n = 100
+#: sim whose band is wider than BAND_MAX) are factored with SuperLU;
+#: implicit Euler on FitzHugh-Nagumo, whose Jacobian band is about as wide
+#: as n, is faster so from n = 100 on (n = 127: 4085 against 2561 steps/s,
+#: one BLAS thread), slower at n = 61 (4976 against 6707)
 SPARSE_FACTOR_N = 128
+#: widest reverse Cuthill-McKee band kl + ku (:class:`BandPattern`) that is
+#: treated as a band.  In transfer, from the sparse cut on, a pencil this
+#: narrow has its sigma_min and field of values certified by band Cholesky
+#: in place of svdvals and eigvalsh.  That cost grows with n (kl + ku)^2 and
+#: svdvals' with n^3, so the limit is where the two break even at n = 128,
+#: the sparse cut's smallest n.  CPU ms per sigma_min of random band pencils
+#: there, one BLAS thread, real (complex) s: kl + ku = 2: 0.74 against
+#: svdvals' 1.43; 12: 1.14 (1.50) against 1.16 (1.71); 16: 1.44 (2.03)
+#: against 1.18 (1.87).  In sim a Newton Jacobian this narrow is solved by
+#: one gbtrf and one gbtrs at any n.  That beats a dense solve and SuperLU
+#: far beyond the limit, so the certificate sets it for both: CPU us per
+#: solve of random band matrices, one BLAS thread, kl + ku = 12: 20 against
+#: a dense solve's 131 at n = 100, 51 against SuperLU's 455 at n = 300;
+#: kl + ku = 48: 45 against 117 at n = 100.  FitzHugh-Nagumo nbar = 43
+#: (n = 130) has a pencil band of 82/84.
+BAND_MAX = 12
 
 
 def dense_quadratic(Q):
@@ -88,8 +108,7 @@ class CscPattern:
 
     def __init__(self, n, matrices, extra_keys=()):
         self.n = n
-        self.keys = np.unique(np.concatenate(
-            [_csc_keys(M) for M in matrices] + [np.asarray(extra_keys, dtype=np.int64)]))
+        self.keys = _pattern_keys(matrices, extra_keys)
         self.cols = self.keys // n
         self.matrix = sp.csc_matrix((np.zeros(self.keys.size), (self.keys % n, self.cols)),
                                     shape=(n, n))
@@ -121,10 +140,59 @@ class CscPattern:
             raise np.linalg.LinAlgError(str(exc)) from exc
 
 
+class BandPattern:
+    """A pattern in reverse Cuthill-McKee order, its matrices held as LAPACK gbtrf reads them.
+
+    The pattern is built as :class:`CscPattern`'s.  Row and column i of the
+    permuted matrix are row and column perm[i] of the original, order is
+    the inverse permutation, and kl and ku are the permuted pattern's
+    bandwidths below and above the diagonal.  The order narrows the band of
+    the RC ladder (l=50: 52/51 down to 3/3); Burgers is 1/1 either way, and
+    a dense row or column, as FitzHugh-Nagumo's constant state gives, keeps
+    a band about as wide as n.  A matrix on the pattern is held in Fortran
+    order, entry (i, j) of the permuted matrix in row kl + ku + i - j of
+    column j, under kl zero rows for the LU's fill-in.
+    """
+
+    def __init__(self, n, matrices, extra_keys=()):
+        self.n = n
+        keys = _pattern_keys(matrices, extra_keys)
+        rows, cols = keys % n, keys // n
+        pattern = sp.csr_matrix((np.ones(keys.size), (rows, cols)), shape=(n, n))
+        self.perm = reverse_cuthill_mckee(pattern, symmetric_mode=False)
+        self.order = np.empty(n, dtype=np.int64)
+        self.order[self.perm] = np.arange(n)
+        offsets = self.order[rows] - self.order[cols]
+        self.kl, self.ku = int(np.max(offsets, initial=0)), int(np.max(-offsets, initial=0))
+        self.shape = (2 * self.kl + self.ku + 1, n)
+
+    @property
+    def narrow(self):
+        """True if kl + ku <= BAND_MAX."""
+        return self.kl + self.ku <= BAND_MAX
+
+    def slots(self, keys):
+        """Positions of the given keys (col * n + row) in the flattened band storage."""
+        i, j = self.order[keys % self.n], self.order[keys // self.n]
+        return j * self.shape[0] + self.kl + self.ku + i - j
+
+    def values(self, M):
+        """M (on the pattern) in band storage."""
+        ab = np.zeros(self.shape[0] * self.n, dtype=M.dtype)
+        ab[self.slots(_csc_keys(M))] = sp.coo_matrix(M).data
+        return ab.reshape(self.shape, order="F")
+
+
 def _csc_keys(M):
     """Column-major keys col * n + row of M's stored entries."""
     M = sp.coo_matrix(M)
     return M.col.astype(np.int64) * M.shape[0] + M.row
+
+
+def _pattern_keys(matrices, extra_keys):
+    """The sorted keys of the union of the matrices' stored entries and extra_keys."""
+    return np.unique(np.concatenate(
+        [_csc_keys(M) for M in matrices] + [np.asarray(extra_keys, dtype=np.int64)]))
 
 
 def apply_quadratic(Q, u, v):

@@ -11,10 +11,16 @@ and the state dimension n, by the rules of ``qb_model``:
   summed in the same order, at O(nnz) cost; the Jacobian sums 2 q x[j] into
   entry (i, k).
 * With a sparse Q and n >= SPARSE_FACTOR_N (``qb_model.sparse_factors``),
-  E, A and N are CSR too, and every Newton Jacobian is assembled as the data
-  of a CSC pattern fixed for the run and factored with SuperLU.  Below the
-  cut, and for a dense Q, E, A and N stay dense and LAPACK solves the dense
-  Jacobian.
+  E, A and N are CSR too; below the cut, and for a dense Q, they stay dense.
+* With a sparse Q, every Newton Jacobian lies on the pattern of E, A, N and
+  Q's (i, k) entries.  Where that pattern's reverse Cuthill-McKee band kl +
+  ku is at most BAND_MAX (``qb_model.BandPattern``; the RC ladder 3/3,
+  Burgers 1/1), E/dt - A and N are held in LAPACK band storage in that
+  order, the quadratic part is summed straight into it, and each Newton
+  step is one gbtrf and one gbtrs.  A wider pattern (FitzHugh-Nagumo) is,
+  from the cut on, a CSC pattern fixed for the run whose data each Jacobian
+  rewrites and SuperLU factors; below it, and for a dense Q, LAPACK solves
+  the dense Jacobian.
 
 Implicit Euler solves the per-step nonlinear equation by Newton iteration
 with the analytic Jacobian E/dt - A - N u - 2 Q(x kron .).  RK4 integrates
@@ -31,9 +37,11 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .qb_model import (
-    CscPattern, apply_quadratic, dense_quadratic, quadratic_gather, sparse_factors,
+    BandPattern, CscPattern, apply_quadratic, dense_quadratic, quadratic_gather,
+    sparse_factors,
 )
 
 __all__ = [
@@ -80,19 +88,26 @@ class _RunOperators:
         form = sp.csr_matrix if self.sparse else np.asarray
         self.E, self.A, self.N = form(sys.E), form(sys.A), form(sys.N)
         self.B = sys.B
+        self.band = self.pattern = None
         if not sp.issparse(Q):
             self.Q, self.Qj = Q, Q.reshape(n * n, n)  # row i*n + j holds T(i, j, :)
             return
         self.Q = None
         i, self.j, self.k, self.Qg = quadratic_gather(Q)
         self.q2 = 2.0 * Q.data
-        if not self.sparse:
-            self.slots, self.size = i * n + self.k, n * n
-            return
-        # the Jacobian's CSC pattern: E, A, N and every (i, k); each Newton
-        # iteration rewrites the data of this one matrix
-        self.pattern = CscPattern(n, (self.E, self.A, self.N), self.k * n + i)
-        self.slots, self.size = self.pattern.slots(self.k * n + i), self.pattern.keys.size
+        # the Jacobian's pattern: E, A, N and every (i, k); each Newton
+        # iteration rewrites the values of one matrix on it
+        keys = self.k * n + i
+        band = BandPattern(n, (self.E, self.A, self.N), keys)
+        if band.narrow:
+            self.band = band
+            self.slots, self.shape = band.slots(keys), band.shape
+        elif self.sparse:
+            self.pattern = CscPattern(n, (self.E, self.A, self.N), keys)
+            self.slots, self.shape = self.pattern.slots(keys), (self.pattern.keys.size,)
+        else:
+            self.slots, self.shape = keys, (n, n)
+        self.size = int(np.prod(self.shape))
 
     def quadratic(self, x):
         """Q(x kron x)."""
@@ -103,19 +118,28 @@ class _RunOperators:
     def quadratic_jacobian(self, x):
         """v -> 2 Q(x kron v) for symmetrized Q, in the form :meth:`solve` takes.
 
-        A dense n x n matrix, or on a sparse run its values on the CSC pattern.
+        A dense n x n matrix; for a sparse Q on a narrow band, its band
+        storage, and on a wide one from the cut on, its CSC pattern data.
+        Every form's slots are column-major, hence the Fortran-order reshape.
         """
         if self.Q is not None:
             return 2.0 * (self.Qj @ x).reshape(self.n, self.n)
         J = np.bincount(self.slots, self.q2 * x[self.j], minlength=self.size)
-        return J if self.sparse else J.reshape(self.n, self.n)
+        return J.reshape(self.shape, order="F")
 
     def on_pattern(self, M):
         """M (E, A, N or a sum of them) in the form of :meth:`quadratic_jacobian`."""
-        return self.pattern.values(M) if self.sparse else M
+        pattern = self.band if self.band is not None else self.pattern
+        return M if pattern is None else pattern.values(M)
 
     def solve(self, J, F):
-        """J^{-1} F; raises SimulationError if J is exactly singular."""
+        """J^{-1} F, overwriting J on a band; raises SimulationError if J is exactly singular."""
+        if self.band is not None:
+            band = self.band
+            lu, piv, info = dgbtrf(J, band.kl, band.ku, overwrite_ab=True)
+            if info > 0:
+                raise SimulationError(f"singular Newton Jacobian: zero pivot in column {info}")
+            return dgbtrs(lu, band.kl, band.ku, F[band.perm], piv, overwrite_b=True)[0][band.order]
         try:
             if self.sparse:
                 return self.pattern.splu(J).solve(F)

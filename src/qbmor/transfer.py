@@ -45,9 +45,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-from .qb_model import CscPattern, QBSystem, apply_quadratic, sparse_factors
+from .qb_model import BandPattern, CscPattern, QBSystem, apply_quadratic, sparse_factors
 
 __all__ = [
     "PencilSolver",
@@ -70,15 +69,6 @@ _TINY = np.finfo(float).tiny
 _LOWER_MARGIN = 64
 # iterations of the Hager-Higham estimate, as in LAPACK xLACN2
 _NORM_EST_ITERS = 5
-# widest RCM band kl + ku of a pencil above the sparse cut whose sigma_min and
-# field of values are certified by band Cholesky; wider bands keep svdvals
-# and eigvalsh.  The band cost grows with n (kl + ku)^2 and svdvals' with n^3,
-# so the cut is where the two break even at n = 128, the sparse cut's
-# smallest n.  CPU ms per sigma_min of random band pencils there, one BLAS
-# thread, real (complex) s: kl + ku = 2: 0.74 against svdvals' 1.43;
-# 12: 1.14 (1.50) against 1.16 (1.71); 16: 1.44 (2.03) against 1.18 (1.87).
-# FitzHugh-Nagumo nbar = 43 (n = 129) has a band of 82/84.
-_CERT_BAND_MAX = 12
 # relative width of the band certificate's bisection
 _BISECT_RTOL = 1e-10
 
@@ -127,23 +117,6 @@ def _inv_norm1_estimate(lu, dtype):
         est = new
     alt = (1.0 + np.arange(n) / (n - 1)) * (-1.0) ** np.arange(n)
     return max(est, 2.0 * np.abs(lu.solve(alt.astype(dtype))).sum() / (3 * n))
-
-
-def _rcm_band(E, A):
-    """The reverse Cuthill-McKee order of the joint pattern of E and A: (perm, order, kl, ku).
-
-    Row and column i of the permuted pencil are row and column perm[i] of
-    the original, order is the inverse permutation, and kl and ku are the
-    permuted pattern's bandwidths below and above the diagonal.
-    """
-    pattern = (abs(E) + abs(A)).tocsr()
-    n = pattern.shape[0]
-    perm = reverse_cuthill_mckee(pattern, symmetric_mode=False)
-    order = np.empty(n, dtype=np.int64)
-    order[perm] = np.arange(n)
-    p = pattern.tocoo()
-    offsets = order[p.row] - order[p.col]
-    return perm, order, int(np.max(offsets, initial=0)), int(np.max(-offsets, initial=0))
 
 
 def _upper_band(M, order):
@@ -233,14 +206,8 @@ def _lambda_min_lower(M, order):
 class _BandPencil:
     """zE - A in LAPACK band storage, its rows and columns in reverse Cuthill-McKee order.
 
-    perm is the reverse Cuthill-McKee order of the pattern of E and A, which
-    narrows the band of the RC ladder (l=50: bandwidths 52/51 down to 3/3);
-    Burgers is 1/1 either way, and a pencil with a dense row or column, as
-    FitzHugh-Nagumo's constant state gives, keeps a band about as wide as n
-    (n=61: 36/38).  kl and ku are the permuted pattern's bandwidths below
-    and above the diagonal.  E and A are held as gbtrf reads a matrix: entry
-    (i, j) of the permuted matrix in row kl + ku + i - j of column j, under
-    kl zero rows for the LU's fill-in.  A solve factors and solves in
+    E and A are held on the ``qb_model.BandPattern`` of their joint pattern
+    (FitzHugh-Nagumo n=61: 36/38).  A solve factors and solves in
     O(n (kl + ku) kl), at most a dense LU's cost, and keeps nothing.  Only
     pencils below the sparse cut take this path: above it a wide band costs
     O(n^3) where SuperLU costs about O(nnz) (FitzHugh-Nagumo nbar=300: 40
@@ -249,17 +216,9 @@ class _BandPencil:
     """
 
     def __init__(self, E, A):
-        n = E.shape[0]
-        self.perm, order, self.kl, self.ku = _rcm_band(E, A)
-
-        def banded(M):
-            M = M.tocoo()
-            ab = np.zeros((2 * self.kl + self.ku + 1, n))
-            i, j = order[M.row], order[M.col]
-            ab[self.kl + self.ku + i - j, j] = M.data
-            return ab
-
-        self.E, self.A = banded(E), banded(A)
+        band = BandPattern(E.shape[0], (E, A))
+        self.perm, self.kl, self.ku = band.perm, band.kl, band.ku
+        self.E, self.A = band.values(E), band.values(A)
 
     def solve(self, z, b):
         """x with (zE - A) x = b, in real arithmetic when z and b are real.
@@ -306,9 +265,9 @@ class PencilSolver:
     are also held as CSR, for products with them.
 
     Above the cut, a pencil whose reverse Cuthill-McKee band kl + ku is at
-    most _CERT_BAND_MAX has its sigma_min (:meth:`_certified_sigma_min`) and
-    the field-of-values data of :meth:`sigma_min_lower` certified by band
-    Cholesky, and runs no dense O(n^3) kernel; elsewhere they are dense
+    most ``qb_model.BAND_MAX`` has its sigma_min (:meth:`_certified_sigma_min`)
+    and the field-of-values data of :meth:`sigma_min_lower` certified by
+    band Cholesky, and runs no dense O(n^3) kernel; elsewhere they are dense
     ``svdvals`` and ``eigvalsh``.
 
     A frequency where sE - A is numerically singular raises
@@ -338,9 +297,9 @@ class PencilSolver:
         if sparse_factors(sys):
             self._pattern = CscPattern(sys.n, (self.E, self.A))
             self._Ep, self._Ap = self._pattern.values(self.E), self._pattern.values(self.A)
-            _, order, kl, ku = _rcm_band(self.E, self.A)
-            if kl + ku <= _CERT_BAND_MAX:
-                self._order = order
+            band = BandPattern(sys.n, (self.E, self.A))
+            if band.narrow:
+                self._order = band.order
         self.counts = {"factorizations": 0, "sigma_min_evals": 0}
         self._fov = None
         self._band = None
@@ -454,7 +413,7 @@ class PencilSolver:
 
         A real s keeps the pencil real: the singular values are the same
         and real arithmetic is cheaper than complex.  Above the sparse cut on
-        a band kl + ku <= _CERT_BAND_MAX the value is
+        a band kl + ku <= ``qb_model.BAND_MAX`` the value is
         :meth:`_certified_sigma_min`, at most the exact one and below it by
         about c / (2 sigma_min^2) + 1e-10 relative, c the certificate's
         margin; elsewhere it is ``svdvals``'.

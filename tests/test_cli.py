@@ -419,7 +419,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["python", "python -O"])
     def test_singular_newton_jacobian_exit_numerical(self, tmp_path, flags):
         # E = I, A = 2 I from x0 = 1: every Newton Jacobian E/dt - A is zero at dt = 0.5,
-        # on a system large enough for the sparse Newton path
+        # a diagonal that the band Newton path factors
         n = qb_model.SPARSE_FACTOR_N
         sysdir = tmp_path / "singular"
         save_system(QBSystem.from_operators(np.eye(n), 2.0 * np.eye(n), np.zeros((n, n)),

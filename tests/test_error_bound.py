@@ -200,8 +200,8 @@ def test_wide_band_keeps_svdvals(monkeypatch):
     eigvalsh = _count_calls(monkeypatch, transfer.sla, "eigvalsh")
     solver = transfer.PencilSolver(sys)
     assert solver._pattern is not None and solver._order is None
-    _, _, kl, ku = transfer._rcm_band(solver.E, solver.A)
-    assert kl + ku > transfer._CERT_BAND_MAX
+    band = qb_model.BandPattern(sys.n, (solver.E, solver.A))
+    assert band.kl + band.ku > qb_model.BAND_MAX and not band.narrow
     sigma = solver.sigma_min(10.0)
     assert len(svdvals) == 1 and sigma == sla.svdvals(10.0 * sys.E - sys.A)[-1]
     solver.sigma_min_lower(20.0)

@@ -6,7 +6,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from qbmor import InputSignal, QBSystem, benchmarks, projection, qb_model, sim
-from qbmor.qb_model import SPARSE_FACTOR_N, apply_quadratic
+from qbmor.qb_model import SPARSE_FACTOR_N, BandPattern, apply_quadratic
 from qbmor.sim import (
     NEWTON_MAX_STEPS,
     NEWTON_TOL,
@@ -121,15 +121,40 @@ def _dense_jacobian_oracle(sys, x):
     return 2 * sys.Q.toarray() @ np.kron(x[:, None], np.eye(sys.n))
 
 
+def _band_to_dense(band, ab):
+    """The n x n matrix held in band storage ab, after checking that ab is zero off the band."""
+    n = band.n
+    r, c = np.indices(ab.shape).reshape(2, -1)
+    i = r - band.kl - band.ku + c  # permuted row of storage entry (r, c)
+    on = (band.kl <= r) & (0 <= i) & (i < n)
+    assert not ab[r[~on], c[~on]].any()
+    M = np.zeros((n, n))
+    M[band.perm[i[on]], band.perm[c[on]]] = ab[r[on], c[on]]
+    return M
+
+
 class TestQuadraticJacobian:
     @pytest.mark.parametrize("sys", list(_jacobian_systems()))
     def test_matches_dense_oracle_and_scatter(self, sys, monkeypatch):
         monkeypatch.setattr(qb_model, "DENSE_Q_FILL", np.inf)  # the triplet form at every fill
+        monkeypatch.setattr(qb_model, "BAND_MAX", -1)  # no band at any size
         n = sys.n
         x = np.random.default_rng(n).standard_normal(n)
         ops = _RunOperators(sys)
-        assert ops.Q is None and not ops.sparse
+        assert ops.Q is None and not ops.sparse and ops.band is None
         J = ops.quadratic_jacobian(x)
+        np.testing.assert_allclose(J, _dense_jacobian_oracle(sys, x), rtol=1e-12, atol=0)
+        assert np.array_equal(J, _scatter_jacobian(sys.Q, x))
+
+    @pytest.mark.parametrize("sys", list(_jacobian_systems()))
+    def test_band_data_matches_scatter(self, sys, monkeypatch):
+        monkeypatch.setattr(qb_model, "DENSE_Q_FILL", np.inf)
+        monkeypatch.setattr(qb_model, "BAND_MAX", np.inf)  # a band at any width
+        n = sys.n
+        x = np.random.default_rng(n).standard_normal(n)
+        ops = _RunOperators(sys)
+        assert ops.Q is None and not ops.sparse and ops.band is not None
+        J = _band_to_dense(ops.band, ops.quadratic_jacobian(x))
         np.testing.assert_allclose(J, _dense_jacobian_oracle(sys, x), rtol=1e-12, atol=0)
         assert np.array_equal(J, _scatter_jacobian(sys.Q, x))
 
@@ -137,9 +162,10 @@ class TestQuadraticJacobian:
     def test_csc_data_matches_scatter(self, sys, monkeypatch):
         monkeypatch.setattr(qb_model, "DENSE_Q_FILL", np.inf)
         monkeypatch.setattr(qb_model, "SPARSE_FACTOR_N", 1)
+        monkeypatch.setattr(qb_model, "BAND_MAX", -1)
         x = np.random.default_rng(sys.n).standard_normal(sys.n)
         ops = _RunOperators(sys)
-        assert ops.sparse
+        assert ops.sparse and ops.band is None
         J = ops.pattern.matrix.copy()
         J.data[:] = ops.quadratic_jacobian(x)
         assert np.array_equal(J.toarray(), _scatter_jacobian(sys.Q, x))
@@ -231,15 +257,35 @@ class TestRunQuadratic:
         assert np.array_equal(traj.outputs, _csr_reference(sys, u, 0.5, 1e-2, "rk4"))
 
 
-def _singular_newton_system(n):
-    """E = I, A = 2 I and zero N, Q: at dt = 0.5 every Newton Jacobian E/dt - A is zero."""
-    return QBSystem.from_operators(np.eye(n), 2.0 * np.eye(n), np.zeros((n, n)),
-                                   sp.csr_matrix((n, n * n)), np.ones(n), np.ones(n),
-                                   x0=np.ones(n))
+def _singular_newton_system(n, wide):
+    """E = I, A = 2 I less the all-ones matrix if wide, and zero N and Q.
+
+    At dt = 0.5 every Newton Jacobian E/dt - A is zero, or with wide the
+    all-ones matrix, whose band is as wide as n.
+    """
+    A = 2.0 * np.eye(n) - (np.ones((n, n)) if wide else 0.0)
+    return QBSystem.from_operators(np.eye(n), A, np.zeros((n, n)), sp.csr_matrix((n, n * n)),
+                                   np.ones(n), np.ones(n), x0=np.ones(n))
+
+
+def _newton_path(ops):
+    return "band" if ops.band is not None else "sparse" if ops.sparse else "dense"
+
+
+def _ring_coupled_system(n=24):
+    """Tridiagonal E and A whose Q's one entry T(0, 0, n-1) couples states 0 and n-1."""
+    def tridiagonal(lo, mid, hi):
+        return np.diag(np.full(n - 1, lo), -1) + mid * np.eye(n) + np.diag(np.full(n - 1, hi), 1)
+
+    Q = sp.csr_matrix(([-4.0], ([0], [n - 1])), shape=(n, n * n))
+    return QBSystem.from_operators(tridiagonal(0.1, 1.0, 0.2), tridiagonal(1.0, -3.0, 0.5),
+                                   np.zeros((n, n)), Q, np.ones(n), np.ones(n),
+                                   x0=np.linspace(0.5, 1.0, n))
 
 
 class TestSparseNewton:
-    """Full models: a gathered Q at every size, sparse Newton from SPARSE_FACTOR_N on."""
+    """Full models: a gathered Q at every size; Newton by band LU on a narrow band,
+    else dense below SPARSE_FACTOR_N and SuperLU from it on."""
 
     @pytest.mark.parametrize("sys", [
         pytest.param(benchmarks.rc_ladder(50), id="rc l=50"),
@@ -253,16 +299,19 @@ class TestSparseNewton:
             x = np.random.default_rng(seed).standard_normal(sys.n)
             assert np.array_equal(ops.quadratic(x), apply_quadratic(sys.Q, x, x))
 
-    @pytest.mark.parametrize("sys,sparse", [
-        pytest.param(benchmarks.rc_ladder(50), False, id="rc l=50 dense"),
-        pytest.param(benchmarks.burgers(300, 0.01), True, id="burgers n=300 sparse"),
+    @pytest.mark.parametrize("sys,path", [
+        pytest.param(benchmarks.rc_ladder(50), "band", id="rc l=50 band"),
+        pytest.param(benchmarks.rc_ladder(64), "band", id="rc l=64 band"),
+        pytest.param(benchmarks.burgers(300, 0.01), "band", id="burgers n=300 band"),
+        pytest.param(benchmarks.fitzhugh_nagumo(20), "dense", id="fhn nbar=20 dense"),
+        pytest.param(benchmarks.fitzhugh_nagumo(43), "sparse", id="fhn nbar=43 sparse"),
     ])
-    def test_path_selection(self, sys, sparse, monkeypatch):
-        assert (sys.n >= SPARSE_FACTOR_N) == sparse
+    def test_path_selection(self, sys, path, monkeypatch):
+        sparse = sys.n >= SPARSE_FACTOR_N
         ops = _RunOperators(sys)
-        assert ops.sparse == sparse
+        assert ops.sparse == sparse and _newton_path(ops) == path
         assert all(sp.issparse(M) == sparse for M in (ops.E, ops.A, ops.N))
-        calls = {"splu": 0, "solve": 0}
+        calls = {"splu": 0, "solve": 0, "gbtrf": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -272,35 +321,69 @@ class TestSparseNewton:
 
         monkeypatch.setattr(qb_model.spla, "splu", counted("splu", qb_model.spla.splu))
         monkeypatch.setattr(sim.np.linalg, "solve", counted("solve", sim.np.linalg.solve))
+        monkeypatch.setattr(sim, "dgbtrf", counted("gbtrf", sim.dgbtrf))
         simulate_qb(sys, InputSignal("exp_decay"), 0.05, 1e-2)
-        assert (calls["splu"] > 0, calls["solve"] > 0) == (sparse, not sparse)
+        assert [name for name, count in calls.items() if count] == [
+            {"sparse": "splu", "dense": "solve", "band": "gbtrf"}[path]]
 
     @pytest.mark.parametrize("sys,u", [
         pytest.param(benchmarks.burgers(300, 0.01), InputSignal("cosine_pi"), id="burgers n=300"),
         pytest.param(benchmarks.rc_ladder(100), InputSignal("exp_decay"), id="rc l=100"),
+        pytest.param(benchmarks.rc_ladder(50), InputSignal("exp_decay"), id="rc l=50"),
     ])
     def test_sparse_and_dense_newton_agree(self, sys, u, monkeypatch):
-        assert sys.n >= SPARSE_FACTOR_N
-        sparse = simulate_qb(sys, u, 0.5, 1e-2)
+        """The band path against the one it replaced (SuperLU from the cut on), and that against dense."""
+        assert _newton_path(_RunOperators(sys)) == "band"
+        runs = [simulate_qb(sys, u, 0.5, 1e-2)]
+        monkeypatch.setattr(qb_model, "BAND_MAX", -1)
+        assert _newton_path(_RunOperators(sys)) == ("sparse" if sys.n >= SPARSE_FACTOR_N
+                                                    else "dense")
+        runs.append(simulate_qb(sys, u, 0.5, 1e-2))
         monkeypatch.setattr(qb_model, "SPARSE_FACTOR_N", np.inf)
-        dense = simulate_qb(sys, u, 0.5, 1e-2)
-        assert not (sparse.meta["diverged"] or dense.meta["diverged"])
-        rel = np.max(np.abs(sparse.outputs - dense.outputs)) / np.max(np.abs(dense.outputs))
-        assert rel <= 1e-12
+        assert _newton_path(_RunOperators(sys)) == "dense"
+        runs.append(simulate_qb(sys, u, 0.5, 1e-2))
+        assert not any(run.meta["diverged"] for run in runs)
+        for a, b in zip(runs, runs[1:]):
+            rel = np.max(np.abs(a.outputs - b.outputs)) / np.max(np.abs(b.outputs))
+            assert rel <= 1e-12
+
+    def test_band_covers_quadratic_coupling(self):
+        sys = _ring_coupled_system()
+        n = sys.n
+        ops = _RunOperators(sys)
+        band = ops.band
+        assert band is not None and not ops.sparse
+        # Q's entry (0, n-1) is inside the band; E and A's pattern alone has
+        # a 1/1 band that leaves it out
+        assert -band.ku <= band.order[0] - band.order[n - 1] <= band.kl
+        tridiagonal = BandPattern(n, (sys.E, sys.A))
+        assert (tridiagonal.kl, tridiagonal.ku) == (1, 1)
+        assert abs(tridiagonal.order[0] - tridiagonal.order[n - 1]) > 1
+        u = InputSignal("exp_decay")
+        traj = simulate_qb(sys, u, 0.5, 1e-2)
+        ref = _csr_reference(sys, u, 0.5, 1e-2, "implicit_euler")
+        assert not traj.meta["diverged"]
+        assert np.max(np.abs(traj.outputs - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_full_model_ie_below_cut_bit_identical_to_solve_loop(self):
         sys = _sparse_system_nonsymmetric_mass()
         assert sp.issparse(_run_quadratic(sys.Q)) and sys.n < SPARSE_FACTOR_N
+        assert _newton_path(_RunOperators(sys)) == "dense"
         u = InputSignal("exp_decay")
         traj = simulate_qb(sys, u, 0.5, 1e-2)
         assert np.array_equal(traj.outputs,
                               _csr_reference(sys, u, 0.5, 1e-2, "implicit_euler"))
 
-    @pytest.mark.parametrize("n", [SPARSE_FACTOR_N - 1, SPARSE_FACTOR_N],
-                             ids=["dense", "sparse"])
-    def test_singular_jacobian_raises_simulation_error(self, n):
+    @pytest.mark.parametrize("n,wide,path", [
+        (SPARSE_FACTOR_N - 1, True, "dense"),
+        (SPARSE_FACTOR_N, False, "band"),
+        (SPARSE_FACTOR_N, True, "sparse"),
+    ], ids=["dense", "band", "sparse"])
+    def test_singular_jacobian_raises_simulation_error(self, n, wide, path):
+        sys = _singular_newton_system(n, wide)
+        assert _newton_path(_RunOperators(sys)) == path
         with pytest.raises(SimulationError, match="singular Newton Jacobian"):
-            simulate_qb(_singular_newton_system(n), InputSignal("zero"), 1.0, 0.5)
+            simulate_qb(sys, InputSignal("zero"), 1.0, 0.5)
 
 
 class TestSchemesAgree:

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from qbmor import QBSystem, benchmarks, qb_model, transfer
 from qbmor.qb_model import SPARSE_FACTOR_N, apply_quadratic
@@ -311,6 +312,9 @@ class TestBandPencil:
         solver = transfer.PencilSolver(make())
         band = transfer._BandPencil(solver.E, solver.A)
         assert (band.kl, band.ku) == bandwidths
+        # the order of the joint pattern of E and A alone
+        pattern = (abs(solver.E) + abs(solver.A)).tocsr()
+        assert np.array_equal(band.perm, reverse_cuthill_mckee(pattern, symmetric_mode=False))
         assert band.E.shape == band.A.shape == (2 * band.kl + band.ku + 1, solver.sys.n)
 
 
