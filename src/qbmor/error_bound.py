@@ -44,15 +44,15 @@ B2(s1, s) over the grid points s come from the cached x1(s) columns by
 is bitwise the per-point B2.  A point whose x1 fails has a NaN column there;
 it, and a point whose reduced solve fails, is skipped, as NaN, with a
 warning (if the stacked solve fails, its points are solved one by one).
-The per-point methods (``parts_1``, ``delta2``, ``h1_rom``, ...) are
+The per-point methods (``delta1``, ``delta2``, ``h1_rom``, ...) are
 batches of one.
 
 The true errors that validate the bound reuse the scan's batch
 (:meth:`BoundEvaluator.true_errors`, one call per scan): the full model's
 H1 is C X1 on the same x1 columns, the reduced transfer values come from
 the same stacked solve, and the full H2 takes one one-shot solve
-(``PencilSolver.solve_once``: a band LU below the sparse cut, SuperLU from
-it on) with the batch's B2 at each pair sum s1 + s.
+(``PencilSolver.solve_once``: a band LU, or SuperLU for a wide band from
+the sparse cut on) with the batch's B2 at each pair sum s1 + s.
 """
 
 from __future__ import annotations
@@ -247,14 +247,9 @@ class BoundEvaluator:
         r_pr, r_du, _ = self._sub1.residuals(_one(s), self.sys.B[:, None])
         return r_pr[:, 0], r_du[:, 0]
 
-    def parts_1(self, s):
-        """(||r_pr|| ||r_du||, s): delta1's numerator and its pencil frequency."""
-        nums, _ = self._sub1.bound_parts(_one(s), self.sys.B[:, None])
-        return nums[0], complex(s)
-
     def delta1(self, s):
-        num, z = self.parts_1(s)
-        return num / self.beta(z)
+        nums, _ = self._sub1.bound_parts(_one(s), self.sys.B[:, None])
+        return nums[0] / self.beta(complex(s))
 
     def h1_rom(self, s):
         """Transfer function of the reduced first subsystem (0 for empty bases)."""
@@ -275,14 +270,9 @@ class BoundEvaluator:
         r_pr, r_du, _ = self._sub2.residuals(*self._pair(s1, s2))
         return r_pr[:, 0], r_du[:, 0]
 
-    def parts_2(self, s1, s2):
-        """(||r_pr|| ||r_du||, s1 + s2): delta2's numerator and its pencil frequency."""
-        z, b2 = self._pair(s1, s2)
-        return self._sub2.bound_parts(z, b2)[0][0], z[0]
-
     def delta2(self, s1, s2):
-        num, z = self.parts_2(s1, s2)
-        return num / self.beta(z)
+        z, b2 = self._pair(s1, s2)
+        return self._sub2.bound_parts(z, b2)[0][0] / self.beta(z[0])
 
     def h2_rom(self, s1, s2):
         """Second transfer function of the reduced second subsystem."""

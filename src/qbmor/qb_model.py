@@ -13,11 +13,13 @@ column j*n + k of Q multiplies u_j * v_k in Q (u kron v).
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.io import mmread, mmwrite
@@ -43,28 +45,28 @@ _REGULARITY_PROBES = (1.0, 10.0, 100.0, 1.0 + 1.0j)
 #: stored fraction of Q's n^3 entries from which Q counts as dense (a
 #: projected ROM's tensor generically has all of them)
 DENSE_Q_FILL = 0.5
-#: state dimension from which a system with a sparse Q is held sparse and its
-#: linear systems (the pencils zE - A in transfer, the Newton Jacobians in
-#: sim whose band is wider than BAND_MAX) are factored with SuperLU;
-#: implicit Euler on FitzHugh-Nagumo, whose Jacobian band is about as wide
-#: as n, is faster so from n = 100 on (n = 127: 4085 against 2561 steps/s,
-#: one BLAS thread), slower at n = 61 (4976 against 6707)
+#: state dimension from which a system with a sparse Q is held sparse: transfer
+#: keeps no dense LU per frequency, and a linear system whose band is wider
+#: than BAND_MAX (a pencil zE - A in transfer, a Newton Jacobian in sim) is
+#: factored by SuperLU; implicit Euler on FitzHugh-Nagumo, whose Jacobian
+#: band is about as wide as n, is faster so from n = 100 on (n = 127: 4085
+#: against 2561 steps/s, one BLAS thread), slower at n = 61 (4976 against 6707)
 SPARSE_FACTOR_N = 128
 #: widest reverse Cuthill-McKee band kl + ku (:class:`BandPattern`) that is
-#: treated as a band.  In transfer, from the sparse cut on, a pencil this
-#: narrow has its sigma_min and field of values certified by band Cholesky
-#: in place of svdvals and eigvalsh.  That cost grows with n (kl + ku)^2 and
-#: svdvals' with n^3, so the limit is where the two break even at n = 128,
-#: the sparse cut's smallest n.  CPU ms per sigma_min of random band pencils
-#: there, one BLAS thread, real (complex) s: kl + ku = 2: 0.74 against
-#: svdvals' 1.43; 12: 1.14 (1.50) against 1.16 (1.71); 16: 1.44 (2.03)
-#: against 1.18 (1.87).  In sim a Newton Jacobian this narrow is solved by
-#: one gbtrf and one gbtrs at any n.  That beats a dense solve and SuperLU
-#: far beyond the limit, so the certificate sets it for both: CPU us per
-#: solve of random band matrices, one BLAS thread, kl + ku = 12: 20 against
-#: a dense solve's 131 at n = 100, 51 against SuperLU's 455 at n = 300;
-#: kl + ku = 48: 45 against 117 at n = 100.  FitzHugh-Nagumo nbar = 43
-#: (n = 130) has a pencil band of 82/84.
+#: treated as a band.  From the sparse cut on, a pencil this narrow is
+#: factored by band LU, not SuperLU, and has its sigma_min and field of
+#: values certified by band Cholesky in place of svdvals and eigvalsh.  The
+#: certificate's cost grows with n (kl + ku)^2 and svdvals' with n^3, so the
+#: limit is where the two break even at n = 128, the sparse cut's smallest
+#: n.  CPU ms per sigma_min of random band pencils there, one BLAS thread,
+#: real (complex) s: kl + ku = 2: 0.74 against svdvals' 1.43; 12: 1.14
+#: (1.50) against 1.16 (1.71); 16: 1.44 (2.03) against 1.18 (1.87).  A band
+#: LU beats a dense solve and SuperLU far beyond the limit, so the
+#: certificate's limit serves the band LUs too: CPU us per solve of random band
+#: matrices, one BLAS thread, kl + ku = 12: 20 against a dense solve's 131
+#: at n = 100, 51 against SuperLU's 455 at n = 300; kl + ku = 48: 45 against
+#: 117 at n = 100.  FitzHugh-Nagumo nbar = 43 (n = 130) has a pencil band of
+#: 82/84.
 BAND_MAX = 12
 
 
@@ -181,6 +183,44 @@ class BandPattern:
         ab = np.zeros(self.shape[0] * self.n, dtype=M.dtype)
         ab[self.slots(_csc_keys(M))] = sp.coo_matrix(M).data
         return ab.reshape(self.shape, order="F")
+
+    def factor(self, ab):
+        """LAPACK gbtrf factors of the matrix held in band storage ab, which they overwrite.
+
+        An exactly zero pivot raises ``np.linalg.LinAlgError``.
+        """
+        gbtrf, _, _ = _band_lapack(ab.dtype)
+        lu, piv, info = gbtrf(ab, self.kl, self.ku, overwrite_ab=True)
+        if info > 0:
+            raise np.linalg.LinAlgError(f"zero pivot in column {info}")
+        return BandLU(self, lu, piv)
+
+
+class BandLU:
+    """Factors from :meth:`BandPattern.factor`, used in the matrix's own row and column order."""
+
+    def __init__(self, band, lu, piv):
+        self.band, self.lu, self.piv = band, lu, piv
+        self.shape = (band.n, band.n)
+
+    def solve(self, b, trans="N"):
+        """x with M x = b, M^T x = b or M^H x = b for trans "N", "T" or "H", as SuperLU's solve."""
+        band = self.band
+        gbtrs = _band_lapack(self.lu.dtype)[1]
+        x = gbtrs(self.lu, band.kl, band.ku, b[band.perm], self.piv, "NTH".index(trans),
+                  overwrite_b=True)[0]
+        return x[band.order]
+
+    def rcond(self, anorm):
+        """LAPACK gbcon's reciprocal condition estimate, given the 1-norm anorm of the matrix."""
+        gbcon = _band_lapack(self.lu.dtype)[2]
+        return gbcon(self.band.kl, self.band.ku, self.lu, self.piv, anorm)[0]
+
+
+@functools.lru_cache
+def _band_lapack(dtype):
+    """LAPACK gbtrf, gbtrs and gbcon for band storage of this dtype, looked up once per dtype."""
+    return sla.get_lapack_funcs(("gbtrf", "gbtrs", "gbcon"), dtype=dtype)
 
 
 def _csc_keys(M):

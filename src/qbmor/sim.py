@@ -17,10 +17,10 @@ and the state dimension n, by the rules of ``qb_model``:
   ku is at most BAND_MAX (``qb_model.BandPattern``; the RC ladder 3/3,
   Burgers 1/1), E/dt - A and N are held in LAPACK band storage in that
   order, the quadratic part is summed straight into it, and each Newton
-  step is one gbtrf and one gbtrs.  A wider pattern (FitzHugh-Nagumo) is,
-  from the cut on, a CSC pattern fixed for the run whose data each Jacobian
-  rewrites and SuperLU factors; below it, and for a dense Q, LAPACK solves
-  the dense Jacobian.
+  step is one band LU (``BandPattern.factor``, LAPACK gbtrf) and one solve.
+  A wider pattern (FitzHugh-Nagumo) is, from the cut on, a CSC pattern
+  fixed for the run whose data each Jacobian rewrites and SuperLU factors;
+  below it, and for a dense Q, LAPACK solves the dense Jacobian.
 
 Implicit Euler solves the per-step nonlinear equation by Newton iteration
 with the analytic Jacobian E/dt - A - N u - 2 Q(x kron .).  RK4 integrates
@@ -37,7 +37,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .qb_model import (
     BandPattern, CscPattern, apply_quadratic, dense_quadratic, quadratic_gather,
@@ -56,6 +55,8 @@ NEWTON_TOL = 1e-10
 NEWTON_MAX_STEPS = 20
 #: reciprocal condition estimate of E below which RK4 refuses to run
 RK4_E_RCOND = 1e-14
+#: |y| above which a run counts as diverged and stops
+DIVERGENCE_LIMIT = 1e6
 
 
 class SimulationError(RuntimeError):
@@ -134,13 +135,9 @@ class _RunOperators:
 
     def solve(self, J, F):
         """J^{-1} F, overwriting J on a band; raises SimulationError if J is exactly singular."""
-        if self.band is not None:
-            band = self.band
-            lu, piv, info = dgbtrf(J, band.kl, band.ku, overwrite_ab=True)
-            if info > 0:
-                raise SimulationError(f"singular Newton Jacobian: zero pivot in column {info}")
-            return dgbtrs(lu, band.kl, band.ku, F[band.perm], piv, overwrite_b=True)[0][band.order]
         try:
+            if self.band is not None:
+                return self.band.factor(J).solve(F)
             if self.sparse:
                 return self.pattern.splu(J).solve(F)
             return np.linalg.solve(J, F)
@@ -152,13 +149,12 @@ def _qb_rhs(ops, x, u):
     return ops.A @ x + (ops.N @ x) * u + ops.quadratic(x) + ops.B * u
 
 
-def simulate_qb(sys, u, t_end, dt, scheme="implicit_euler",
-                x0=None, divergence_limit=1e6):
-    """Integrate a QB system; returns the output trajectory y = C x.
+def simulate_qb(sys, u, t_end, dt, scheme="implicit_euler"):
+    """Integrate a QB system from sys.x0; returns the output trajectory y = C x.
 
     The operators are evaluated in the run's forms (see the module
     docstring) without ever materializing x kron x as a matrix.  If |y|
-    exceeds divergence_limit the run is truncated and flagged in the
+    exceeds DIVERGENCE_LIMIT the run is truncated and flagged in the
     trajectory metadata.
     """
     if scheme not in ("implicit_euler", "rk4"):
@@ -169,7 +165,7 @@ def simulate_qb(sys, u, t_end, dt, scheme="implicit_euler",
         raise ValueError(f"t_end must be finite and non-negative, got {t_end!r}")
     if not np.isfinite(t_end / dt):
         raise ValueError(f"t_end / dt overflows: t_end={t_end!r}, dt={dt!r}")
-    x = np.array(sys.x0 if x0 is None else x0, dtype=float)
+    x = np.array(sys.x0, dtype=float)
     nsteps = int(round(t_end / dt))
     times = np.arange(nsteps + 1) * dt
     ys = np.empty(nsteps + 1)
@@ -202,7 +198,7 @@ def simulate_qb(sys, u, t_end, dt, scheme="implicit_euler",
         else:
             x = ie.step(x, float(u(times[k + 1])), k)
         ys[k + 1] = sys.C @ x
-        if abs(ys[k + 1]) > divergence_limit or not np.isfinite(ys[k + 1]):
+        if abs(ys[k + 1]) > DIVERGENCE_LIMIT or not np.isfinite(ys[k + 1]):
             diverged = True
             times, ys = times[:k + 2], ys[:k + 2]
             break

@@ -16,16 +16,16 @@ mode-2 matricization Q2.  Transposes are plain (non-conjugated) throughout.
 
 Solves that produce interpolation vectors or derivatives (x1, y1, x2, y2,
 dH2) factor sE - A in complex arithmetic whatever s, so a basis does not
-depend on which solves came first.  The factorization follows the sparse
-rule of ``qb_model.sparse_factors``: below it (the RC ladder, every ROM) a
-dense LAPACK LU that ``PencilSolver`` caches per frequency; from it on (the
-full Burgers models) SuperLU factors of the pencil held on one CSC pattern,
-refactored for every solve and never cached.  H2 is a point evaluation,
+depend on which solves came first.  Below the sparse cut of
+``qb_model.sparse_factors`` (the RC ladder, FitzHugh-Nagumo nbar < 43,
+every ROM) that is a dense LAPACK LU that ``PencilSolver`` caches per
+frequency.  Every other factorization serves one solve: a LAPACK band LU
+of the pencil in reverse Cuthill-McKee order (``qb_model.BandPattern``),
+or SuperLU's for a band wider than ``qb_model.BAND_MAX`` from the cut on
+(FitzHugh-Nagumo nbar >= 43).  So do point evaluations at any n: H2,
 used mostly to validate the error bound at pair sums that nothing else
-solves at.  It factors once without caching, in real arithmetic for real
-arguments: below the cut a LAPACK band LU of the pencil with its rows and
-columns in reverse Cuthill-McKee order (never dearer than the dense LU, far
-cheaper on a narrow band), from it on the same SuperLU factors as above.
+solves at, factors once without caching, in real arithmetic for real
+arguments.
 
 sigma_min(sE - A), the denominator of the error bounds, is a dense
 ``svdvals`` below the cut and on wide bands (FitzHugh-Nagumo).  From the cut
@@ -83,7 +83,7 @@ def _norm2_bound(M):
 
 
 def _inv_norm1_estimate(lu, dtype):
-    """Hager-Higham estimate of ||G^{-1}||_1 from SuperLU factors of G.
+    """Hager-Higham estimate of ||G^{-1}||_1 from band or SuperLU factors of G.
 
     The iteration of LAPACK xLACN2, which gecon runs on LAPACK factors:
     every estimate is ||G^{-1} x||_1 for an x with ||x||_1 = 1, so it never
@@ -203,43 +203,6 @@ def _lambda_min_lower(M, order):
     return _bisect(ok, lo, hi, _BISECT_RTOL * (hi - lo))
 
 
-class _BandPencil:
-    """zE - A in LAPACK band storage, its rows and columns in reverse Cuthill-McKee order.
-
-    E and A are held on the ``qb_model.BandPattern`` of their joint pattern
-    (FitzHugh-Nagumo n=61: 36/38).  A solve factors and solves in
-    O(n (kl + ku) kl), at most a dense LU's cost, and keeps nothing.  Only
-    pencils below the sparse cut take this path: above it a wide band costs
-    O(n^3) where SuperLU costs about O(nnz) (FitzHugh-Nagumo nbar=300: 40
-    against 0.8 ms), and gbcon's scaled triangular solves cost O(n^2) even
-    on a 1/1 band (Burgers n=3000: 6 ms against a 0.3 ms gbtrf).
-    """
-
-    def __init__(self, E, A):
-        band = BandPattern(E.shape[0], (E, A))
-        self.perm, self.kl, self.ku = band.perm, band.kl, band.ku
-        self.E, self.A = band.values(E), band.values(A)
-
-    def solve(self, z, b):
-        """x with (zE - A) x = b, in real arithmetic when z and b are real.
-
-        Raises ``np.linalg.LinAlgError`` where the pencil is numerically
-        singular: gbtrf meets an exactly zero pivot, or gbcon's reciprocal
-        condition estimate of the factors is below machine epsilon.
-        """
-        ab = z * self.E - self.A
-        gbtrf, gbcon, gbtrs = sla.get_lapack_funcs(("gbtrf", "gbcon", "gbtrs"), (ab,))
-        anorm = np.abs(ab).sum(axis=0).max()
-        lu, piv, info = gbtrf(ab, self.kl, self.ku, overwrite_ab=True)
-        rcond = gbcon(self.kl, self.ku, lu, piv, anorm)[0] if info == 0 else 0.0
-        if not rcond >= _EPS:
-            raise np.linalg.LinAlgError(
-                f"pencil sE - A singular at s = {complex(z)} (rcond {rcond:.1e})")
-        x = np.empty_like(b, dtype=ab.dtype)
-        x[self.perm] = gbtrs(lu, self.kl, self.ku, b[self.perm], piv)[0]
-        return x
-
-
 @dataclass
 class _Pencil:
     """Cached data of sE - A at one frequency, each item computed on first use."""
@@ -252,32 +215,34 @@ class _Pencil:
 class PencilSolver:
     """Per-frequency cache of sigma_min(sE - A), x1(s) and, below the sparse cut, the LU.
 
-    Entries are keyed by the exact complex value of s.  Systems under the
-    rule of ``qb_model.sparse_factors`` (a sparse Q and n >= SPARSE_FACTOR_N)
-    factor sE - A with SuperLU on one CSC pattern of E and A built here,
-    whose data is rewritten for each s.  Every solve refactors
-    and no SuperLU object is kept: the factors of a build's few hundred
-    frequencies would set its memory peak.  Below the cut, one dense LAPACK
-    LU per frequency serves x1-type solves and transposed y1-type solves
-    alike.  :meth:`solve_once`, for point evaluations, keeps no factors:
-    below the cut it factors a band form of the pencil (``_BandPencil``,
-    built on first use), from it on the same SuperLU factors.  E, A and N
-    are also held as CSR, for products with them.
+    Entries are keyed by the exact complex value of s.  Below the cut of
+    ``qb_model.sparse_factors`` (a sparse Q and n >= SPARSE_FACTOR_N), one
+    dense LAPACK LU per frequency serves x1-type solves and transposed
+    y1-type solves alike.  Every other factorization (:meth:`_factor`: the
+    solves from the cut on, and :meth:`solve_once`, for point evaluations,
+    at any n) is made for one solve and not kept: the factors of a build's
+    few hundred frequencies would set its memory peak.  It is a band LU on
+    the solver's one ``qb_model.BandPattern`` of E and A, except that from
+    the cut on a pencil whose band kl + ku is wider than
+    ``qb_model.BAND_MAX`` is factored by SuperLU on one CSC pattern of E and
+    A built here, whose data is rewritten for each s.  E, A and N are also
+    held as CSR, for products with them.
 
-    Above the cut, a pencil whose reverse Cuthill-McKee band kl + ku is at
-    most ``qb_model.BAND_MAX`` has its sigma_min (:meth:`_certified_sigma_min`)
-    and the field-of-values data of :meth:`sigma_min_lower` certified by
-    band Cholesky, and runs no dense O(n^3) kernel; elsewhere they are dense
+    From the cut on, a pencil whose band is at most ``BAND_MAX`` wide has
+    its sigma_min (:meth:`_certified_sigma_min`) and the field-of-values
+    data of :meth:`sigma_min_lower` certified by band Cholesky in the same
+    order, and runs no dense O(n^3) kernel; elsewhere they are dense
     ``svdvals`` and ``eigvalsh``.
 
     A frequency where sE - A is numerically singular raises
-    ``np.linalg.LinAlgError``: the reciprocal condition estimate
-    1 / (||G||_1 est ||G^{-1}||_1) of its factors is below machine epsilon
-    (LAPACK gecon on a dense LU, gbcon on a band LU; the same Hager-Higham
-    estimate on SuperLU factors, which also report an exactly singular
-    pencil), or sigma_min / sigma_max is below n times it (on the band
-    path: the certified sigma_min is below n eps sqrt(||G||_1 ||G||_inf)).
-    Every cached sigma_min is also an anchor of the Weyl bound in
+    ``np.linalg.LinAlgError``: the factorization meets an exactly zero
+    pivot, or the reciprocal condition estimate 1 / (||G||_1 est
+    ||G^{-1}||_1) of its factors is below machine epsilon (LAPACK gecon on
+    a dense LU and gbcon on a band LU below the cut, the Hager-Higham
+    estimate on band and SuperLU factors from it on), or sigma_min /
+    sigma_max is below n times it (on the band certificate's path: the
+    certified sigma_min is below n eps sqrt(||G||_1 ||G||_inf)).  Every
+    cached sigma_min is also an anchor of the Weyl bound in
     :meth:`sigma_min_lower`.
 
     ``counts`` tallies factorizations, cached and one-shot, and sigma_min
@@ -292,25 +257,33 @@ class PencilSolver:
         # the bilinear term of B2 and c2: a CSR product is bitwise the same per
         # column of a block, which a dense GEMM and GEMV are not
         self.N = sp.csr_matrix(sys.N)
+        self._sparse = sparse_factors(sys)
+        self._band = BandPattern(sys.n, (self.E, self.A))
+        narrow = self._band.narrow
+        self._order = self._band.order if self._sparse and narrow else None
         self._pattern = None
-        self._order = None
-        if sparse_factors(sys):
+        if self._sparse and not narrow:
             self._pattern = CscPattern(sys.n, (self.E, self.A))
             self._Ep, self._Ap = self._pattern.values(self.E), self._pattern.values(self.A)
-            band = BandPattern(sys.n, (self.E, self.A))
-            if band.narrow:
-                self._order = band.order
+        else:
+            self._Eb, self._Ab = self._band.values(self.E), self._band.values(self.A)
         self.counts = {"factorizations": 0, "sigma_min_evals": 0}
         self._fov = None
-        self._band = None
 
-    def _factor(self, z):
+    def _factor(self, z, cached=False):
         """Factors of zE - A, real for real z; LinAlgError where it is numerically singular.
 
-        A LAPACK LU tuple below the sparse cut, a SuperLU object from it on.
-        Only the SuperLU one-shot solves of :meth:`solve_once` pass a real z.
+        With cached (below the sparse cut), a dense LAPACK LU, tested by
+        gecon.  Otherwise factors for one solve: a band LU
+        (``qb_model.BandLU``) of the pencil in reverse Cuthill-McKee order,
+        except for a wide band from the cut on, where a band LU costs O(n^3)
+        and SuperLU about O(nnz) on the CSC pattern (FitzHugh-Nagumo
+        nbar=300: 40 against 0.8 ms).  Their rcond test takes gbcon below the
+        cut and the Hager-Higham estimate from it on, as gbcon's scaled
+        triangular solves cost O(n^2) even on a 1/1 band (Burgers n=3000:
+        6 ms against a 0.3 ms gbtrf).
         """
-        if self._pattern is None:
+        if cached:
             G = z * self.sys.E - self.sys.A
             # lu_factor only warns on an exactly singular G; gecon's rcond
             # of its factors is 0 there, and the check below raises
@@ -320,13 +293,19 @@ class PencilSolver:
             gecon = sla.get_lapack_funcs("gecon", (lu[0],))
             rcond, _ = gecon(lu[0], np.linalg.norm(G, 1), norm="1")
         else:
-            data = z * self._Ep - self._Ap
+            if self._pattern is None:
+                data = z * self._Eb - self._Ab
+                norm, factor = np.abs(data).sum(axis=0).max(), self._band.factor
+            else:
+                data = z * self._Ep - self._Ap
+                norm, factor = self._pattern.norm1(data), self._pattern.splu
             try:
-                lu = self._pattern.splu(data)
+                lu = factor(data)
             except np.linalg.LinAlgError as exc:
                 raise np.linalg.LinAlgError(
                     f"pencil sE - A singular at s = {complex(z)} ({exc})") from exc
-            rcond = 1.0 / (self._pattern.norm1(data) * _inv_norm1_estimate(lu, data.dtype))
+            rcond = (1.0 / (norm * _inv_norm1_estimate(lu, data.dtype)) if self._sparse
+                     else lu.rcond(norm))
         self.counts["factorizations"] += 1
         if not rcond >= _EPS:
             raise np.linalg.LinAlgError(
@@ -344,9 +323,9 @@ class PencilSolver:
         return getattr(entry, item)
 
     def _lu(self, s):
-        """Complex factors of sE - A: cached below the sparse cut, fresh from it on."""
-        if self._pattern is None:
-            return self._cached(s, "lu", self._factor)
+        """Complex factors of sE - A: a dense LU cached below the sparse cut, fresh ones from it on."""
+        if not self._sparse:
+            return self._cached(s, "lu", lambda z: self._factor(z, cached=True))
         return self._factor(complex(s))
 
     def apply(self, s, x, trans=False):
@@ -374,22 +353,14 @@ class PencilSolver:
 
         For real s and b the factorization and solve run in real arithmetic,
         at under half the cost of complex; x is returned complex either way.
-        Below the sparse cut the factors are a band LU (``_BandPencil``),
-        from it on SuperLU's.  Its rounding differs from :meth:`solve`, so no
-        interpolation vector comes from here, only values that nothing
-        reuses (H2 at a pair sum).
+        The factors are :meth:`_factor`'s.  Below the sparse cut their
+        rounding differs from :meth:`solve`'s, so no interpolation vector
+        comes from here, only values that nothing reuses (H2 at a pair sum).
         """
         key = complex(s)
         b = np.asarray(b, dtype=complex)
         z, rhs = (key.real, b.real) if key.imag == 0 and not b.imag.any() else (key, b)
-        if self._pattern is None:
-            if self._band is None:
-                self._band = _BandPencil(self.E, self.A)
-            self.counts["factorizations"] += 1
-            x = self._band.solve(z, rhs)
-        else:
-            x = _lu_solve(self._factor(z), rhs)
-        x = np.asarray(x, dtype=complex)
+        x = np.asarray(self._factor(z).solve(rhs), dtype=complex)
         self._check_residual(key, x, b)
         return x
 
@@ -556,7 +527,7 @@ class PencilSolver:
 
 
 def _lu_solve(lu, b, trans=0):
-    """Solve with the factors of :meth:`PencilSolver._factor`; trans=1 solves with G^T."""
+    """Solve with the factors of :meth:`PencilSolver._lu`; trans=1 solves with G^T."""
     if isinstance(lu, tuple):
         return sla.lu_solve(lu, b, trans=trans)
     return lu.solve(b, trans="T" if trans else "N")

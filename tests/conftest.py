@@ -57,8 +57,8 @@ def near_singular_diagonal_qb():
                                    sp.csr_matrix((n, n * n)), np.ones(n), np.ones(n))
 
 
-def scalar_qb(a=1.0, q=0.5, nu=0.0):
-    """1-D system x' = -a x + q x^2 + nu x u + u, y = x.
+def scalar_qb(a=1.0, q=0.5, nu=0.0, x0=0.0):
+    """1-D system x' = -a x + q x^2 + nu x u + u, x(0) = x0, y = x.
 
     Closed forms used as oracles:
         H1(s) = 1/(s+a)
@@ -66,7 +66,7 @@ def scalar_qb(a=1.0, q=0.5, nu=0.0):
     """
     return QBSystem.from_operators(
         np.array([[1.0]]), np.array([[-a]]), np.array([[nu]]),
-        sp.csr_matrix(np.array([[q]])), np.array([1.0]), np.array([1.0]))
+        sp.csr_matrix(np.array([[q]])), np.array([1.0]), np.array([1.0]), x0=[x0])
 
 
 @pytest.fixture

@@ -346,9 +346,10 @@ def test_scan_batches_match_per_point_evaluation(name):
         return num, h_rom, sys_.C @ solver.solve_once(z, b2)
 
     scans = [(ev.scan_1(grid), reference_1,
-              lambda s: (ev.parts_1(s)[0], ev.h1_rom(s), ev.true_error_1(s))),
+              lambda s: (ev.delta1(s) * ev.beta(s), ev.h1_rom(s), ev.true_error_1(s))),
              (ev.scan_2(s1, grid), reference_2,
-              lambda s: (ev.parts_2(s1, s)[0], ev.h2_rom(s1, s), ev.true_error_2(s1, s)))]
+              lambda s: (ev.delta2(s1, s) * ev.beta(complex(s1) + complex(s)), ev.h2_rom(s1, s),
+                         ev.true_error_2(s1, s)))]
     for batch, reference, one in scans:
         num, h_rom, h = np.array([reference(s) for s in grid]).T
         true = np.abs(h - h_rom)

@@ -270,7 +270,8 @@ def test_solver_keeps_no_lu_at_validation_pair_sums(monkeypatch):
 
 def test_sparse_greedy_caches_no_factors(monkeypatch):
     res, solver = _burgers_200_greedy(monkeypatch)
-    assert res.converged and solver._pattern is not None
+    # from the sparse cut on, Burgers' 1/1 band is factored anew for every solve
+    assert res.converged and solver._sparse and solver._pattern is None
     assert solver._cache and all(entry.lu is None for entry in solver._cache.values())
 
 
@@ -278,7 +279,7 @@ def test_sparse_and_dense_greedy_select_the_same_pairs(monkeypatch):
     sparse, _ = _burgers_200_greedy(monkeypatch)
     monkeypatch.setattr(qb_model, "SPARSE_FACTOR_N", np.inf)
     dense, solver = _burgers_200_greedy(monkeypatch)
-    assert solver._pattern is None
+    assert not solver._sparse
     assert sparse.pairs == dense.pairs
     assert ([(r.basis_size_V, r.basis_size_W) for r in sparse.trace]
             == [(r.basis_size_V, r.basis_size_W) for r in dense.trace])

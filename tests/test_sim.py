@@ -21,10 +21,10 @@ from qbmor.sim import (
 from conftest import random_qb, scalar_qb
 
 
-def _linear_scalar(e=1.0, a=1.0):
+def _linear_scalar(e=1.0, a=1.0, x0=0.0):
     return QBSystem.from_operators(
         np.array([[e]]), np.array([[-a]]), np.zeros((1, 1)),
-        sp.csr_matrix((1, 1)), np.array([1.0]), np.array([1.0]))
+        sp.csr_matrix((1, 1)), np.array([1.0]), np.array([1.0]), x0=[x0])
 
 
 class TestClosedFormOracles:
@@ -39,18 +39,16 @@ class TestClosedFormOracles:
 
     def test_descriptor_mass_scaling(self):
         # 2 x' = -x  =>  x(t) = x0 e^{-t/2}
-        sys = _linear_scalar(e=2.0)
-        traj = simulate_qb(sys, InputSignal("zero"), 1.0, 1e-4,
-                           scheme="rk4", x0=np.array([3.0]))
+        sys = _linear_scalar(e=2.0, x0=3.0)
+        traj = simulate_qb(sys, InputSignal("zero"), 1.0, 1e-4, scheme="rk4")
         assert np.isclose(traj.outputs[-1], 3.0 * np.exp(-0.5), rtol=1e-8)
 
     def test_logistic_quadratic_dynamics(self):
         # x' = x - x^2, x(0) = 1/2  =>  x(t) = 1/(1 + e^{-t})
         sys = QBSystem.from_operators(
             np.eye(1), np.array([[1.0]]), np.zeros((1, 1)),
-            sp.csr_matrix(np.array([[-1.0]])), np.array([0.0]), np.array([1.0]))
-        traj = simulate_qb(sys, InputSignal("zero"), 3.0, 1e-3,
-                           scheme="rk4", x0=np.array([0.5]))
+            sp.csr_matrix(np.array([[-1.0]])), np.array([0.0]), np.array([1.0]), x0=[0.5])
+        traj = simulate_qb(sys, InputSignal("zero"), 3.0, 1e-3, scheme="rk4")
         exact = 1.0 / (1.0 + np.exp(-traj.times))
         assert np.max(np.abs(traj.outputs - exact)) <= 1e-10
 
@@ -58,9 +56,8 @@ class TestClosedFormOracles:
         # x' = (-1 + u) x with u = e^{-t}  =>  x = x0 exp(-t + 1 - e^{-t})
         sys = QBSystem.from_operators(
             np.eye(1), np.array([[-1.0]]), np.array([[1.0]]),
-            sp.csr_matrix((1, 1)), np.array([0.0]), np.array([1.0]))
-        traj = simulate_qb(sys, InputSignal("exp_decay"), 2.0, 1e-4,
-                           scheme="rk4", x0=np.array([1.0]))
+            sp.csr_matrix((1, 1)), np.array([0.0]), np.array([1.0]), x0=[1.0])
+        traj = simulate_qb(sys, InputSignal("exp_decay"), 2.0, 1e-4, scheme="rk4")
         t = traj.times
         exact = np.exp(-t + 1.0 - np.exp(-t))
         assert np.max(np.abs(traj.outputs - exact)) <= 1e-9
@@ -72,16 +69,16 @@ class TestConvergenceOrders:
     @pytest.fixture(scope="class")
     def reference(self):
         """Final output of a dt = 1e-5 RK4 run, shared by both order tests."""
-        ref = simulate_qb(scalar_qb(**self.SYS), InputSignal("exp_decay"), 1.0, 1e-5,
-                          scheme="rk4", x0=np.array([0.1]))
+        ref = simulate_qb(scalar_qb(**self.SYS, x0=0.1), InputSignal("exp_decay"), 1.0, 1e-5,
+                          scheme="rk4")
         return ref.outputs[-1]
 
     def _errors(self, reference, scheme, dts):
-        sys = scalar_qb(**self.SYS)
+        sys = scalar_qb(**self.SYS, x0=0.1)
         u = InputSignal("exp_decay")
         errs = []
         for dt in dts:
-            traj = simulate_qb(sys, u, 1.0, dt, scheme=scheme, x0=np.array([0.1]))
+            traj = simulate_qb(sys, u, 1.0, dt, scheme=scheme)
             errs.append(abs(traj.outputs[-1] - reference))
         return errs
 
@@ -321,7 +318,8 @@ class TestSparseNewton:
 
         monkeypatch.setattr(qb_model.spla, "splu", counted("splu", qb_model.spla.splu))
         monkeypatch.setattr(sim.np.linalg, "solve", counted("solve", sim.np.linalg.solve))
-        monkeypatch.setattr(sim, "dgbtrf", counted("gbtrf", sim.dgbtrf))
+        monkeypatch.setattr(qb_model.BandPattern, "factor",
+                            counted("gbtrf", qb_model.BandPattern.factor))
         simulate_qb(sys, InputSignal("exp_decay"), 0.05, 1e-2)
         assert [name for name, count in calls.items() if count] == [
             {"sparse": "splu", "dense": "solve", "band": "gbtrf"}[path]]
@@ -388,11 +386,10 @@ class TestSparseNewton:
 
 class TestSchemesAgree:
     def test_both_schemes_same_trajectory(self):
-        sys = scalar_qb(a=2.0, q=0.4, nu=0.1)
+        sys = scalar_qb(a=2.0, q=0.4, nu=0.1, x0=0.2)
         u = InputSignal("exp_decay")
-        rk = simulate_qb(sys, u, 1.0, 1e-4, scheme="rk4", x0=np.array([0.2]))
-        ie = simulate_qb(sys, u, 1.0, 1e-4, scheme="implicit_euler",
-                         x0=np.array([0.2]))
+        rk = simulate_qb(sys, u, 1.0, 1e-4, scheme="rk4")
+        ie = simulate_qb(sys, u, 1.0, 1e-4, scheme="implicit_euler")
         assert np.max(np.abs(rk.outputs - ie.outputs)) <= 1e-3
 
 
@@ -410,8 +407,7 @@ class TestErrorHandling:
             simulate_qb(scalar_qb(), InputSignal("zero"), t_end, dt)
 
     def test_zero_horizon_gives_initial_output(self):
-        traj = simulate_qb(scalar_qb(), InputSignal("zero"), 0.0, 1e-3,
-                           x0=np.array([0.5]))
+        traj = simulate_qb(scalar_qb(x0=0.5), InputSignal("zero"), 0.0, 1e-3)
         assert traj.times.tolist() == [0.0] and traj.outputs.tolist() == [0.5]
 
     def test_rk4_needs_invertible_mass(self):
@@ -428,10 +424,9 @@ class TestErrorHandling:
         # x' = x^2 from x(0)=1 blows up at t=1
         sys = QBSystem.from_operators(
             np.eye(1), np.array([[-1e-12]]), np.zeros((1, 1)),
-            sp.csr_matrix(np.array([[1.0]])), np.array([0.0]), np.array([1.0]))
-        traj = simulate_qb(sys, InputSignal("zero"), 2.0, 1e-3, scheme="rk4",
-                           x0=np.array([1.0]), divergence_limit=1e3)
-        assert traj.meta["diverged"]
+            sp.csr_matrix(np.array([[1.0]])), np.array([0.0]), np.array([1.0]), x0=[1.0])
+        traj = simulate_qb(sys, InputSignal("zero"), 2.0, 1e-3, scheme="rk4")
+        assert traj.meta["diverged"] and abs(traj.outputs[-1]) > sim.DIVERGENCE_LIMIT
         assert traj.times[-1] < 2.0
         assert len(traj.times) == len(traj.outputs)
 

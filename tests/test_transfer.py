@@ -221,25 +221,43 @@ def _pencil_values(sys, solver):
     return out
 
 
+def _assert_paths_agree(sys, monkeypatch):
+    """_pencil_values of the solver from the sparse cut on against those of the dense path."""
+    assert qb_model.sparse_factors(sys)
+    sparse = transfer.PencilSolver(sys)
+    values = _pencil_values(sys, sparse)
+    assert all(entry.lu is None for entry in sparse._cache.values())
+    monkeypatch.setattr(qb_model, "SPARSE_FACTOR_N", np.inf)
+    dense = transfer.PencilSolver(sys)
+    assert not dense._sparse
+    for got, want in zip(values, _pencil_values(sys, dense)):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    return sparse
+
+
+def _singular_pencil_system(n, wide):
+    """E = I and A = 2 I, less the all-ones matrix if wide: 2 E - A is zero, or all ones."""
+    A = 2.0 * np.eye(n) - (np.ones((n, n)) if wide else 0.0)
+    return QBSystem.from_operators(np.eye(n), A, np.zeros((n, n)),
+                                   sp.csr_matrix((n, n * n)), np.ones(n), np.ones(n))
+
+
 class TestSparsePencil:
-    """Full models from SPARSE_FACTOR_N on: SuperLU factors, refactored for every solve."""
+    """Full models from SPARSE_FACTOR_N on: band or SuperLU factors, refactored for every solve."""
 
     def test_sparse_and_dense_paths_agree(self, monkeypatch):
-        sys = benchmarks.burgers(200, 0.01)
-        assert qb_model.sparse_factors(sys)
-        sparse = transfer.PencilSolver(sys)
-        values = _pencil_values(sys, sparse)
-        assert sparse._pattern is not None
-        assert all(entry.lu is None for entry in sparse._cache.values())
-        monkeypatch.setattr(qb_model, "SPARSE_FACTOR_N", np.inf)
-        dense = transfer.PencilSolver(sys)
-        assert dense._pattern is None
-        for got, want in zip(values, _pencil_values(sys, dense)):
-            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        sparse = _assert_paths_agree(benchmarks.burgers(200, 0.01), monkeypatch)
+        assert sparse._pattern is None and sparse._order is not None
+
+    def test_superlu_and_dense_paths_agree(self, monkeypatch):
+        """A band wider than BAND_MAX from the cut on (FitzHugh-Nagumo nbar=43) keeps SuperLU."""
+        sparse = _assert_paths_agree(benchmarks.fitzhugh_nagumo(43), monkeypatch)
+        assert sparse._pattern is not None and sparse._order is None
 
     def test_numerically_singular_pencil_raises(self):
         # lifted RC ladder: A has rank l of 2 l, so sE - A is singular at s = 0;
-        # l = 50 is below the sparse cut (the band LU of solve_once), l = 64 on it
+        # l = 50 is below the sparse cut (gbcon on the band LU of solve_once),
+        # l = 64 on it (the Hager-Higham estimate on band factors)
         for ell in (50, 64):
             sys = benchmarks.rc_ladder(ell)
             assert qb_model.sparse_factors(sys) == (sys.n >= SPARSE_FACTOR_N)
@@ -253,28 +271,42 @@ class TestSparsePencil:
             assert not solver._cache
             transfer.solve_x1(sys, 1.0, solver)
 
-    @pytest.mark.parametrize("n", [SPARSE_FACTOR_N - 1, SPARSE_FACTOR_N],
-                             ids=["dense", "sparse"])
-    def test_exactly_singular_pencil_raises(self, n):
-        # E = I, A = 2 I: sE - A is the zero matrix at s = 2
-        sys = QBSystem.from_operators(np.eye(n), 2.0 * np.eye(n), np.zeros((n, n)),
-                                      sp.csr_matrix((n, n * n)), np.ones(n), np.ones(n))
+    @pytest.mark.parametrize("n,wide,path", [
+        (SPARSE_FACTOR_N - 1, True, "dense"),
+        (SPARSE_FACTOR_N, False, "band"),
+        (SPARSE_FACTOR_N, True, "sparse"),
+    ], ids=["dense", "band", "sparse"])
+    def test_exactly_singular_pencil_raises(self, n, wide, path, monkeypatch):
+        # sE - A is the zero matrix, or with wide the all-ones matrix, at s = 2
+        sys = _singular_pencil_system(n, wide)
         solver = transfer.PencilSolver(sys)
-        assert (solver._pattern is not None) == (n >= SPARSE_FACTOR_N)
+        assert (solver._pattern is not None) == (path == "sparse")
+        assert solver._sparse == (n >= SPARSE_FACTOR_N)
+        calls = _count_factorizations(monkeypatch)
         with pytest.raises(np.linalg.LinAlgError, match="singular"):
             transfer.solve_x1(sys, 2.0, solver)
+        assert _paths(calls) == {path}
         with pytest.raises(np.linalg.LinAlgError, match="singular"):
             solver.solve_once(2.0, sys.B)
+        assert not solver._cache
 
-    def test_inverse_norm_estimate_is_a_lower_bound(self, rng):
-        sys = benchmarks.burgers(200, 0.01)
-        solver = transfer.PencilSolver(sys)
-        for z in (0.0, 5.4124, 1e4, 3.0 + 40.0j):
-            data = z * solver._Ep - solver._Ap
-            lu = solver._pattern.splu(data)
-            exact = np.linalg.norm(np.linalg.inv(z * sys.E - sys.A), 1)
-            est = transfer._inv_norm1_estimate(lu, data.dtype)
-            assert 0.3 * exact <= est <= exact * (1 + 1e-12)
+    def test_inverse_norm_estimate_is_a_lower_bound(self):
+        # on band factors (Burgers) and SuperLU's (FitzHugh-Nagumo nbar=43,
+        # whose lifted pencil is singular at 0)
+        for sys, z0 in ((benchmarks.burgers(200, 0.01), 0.0),
+                        (benchmarks.fitzhugh_nagumo(43), 10.0)):
+            solver = transfer.PencilSolver(sys)
+            assert (solver._pattern is None) == (sys.n == 200)
+            for z in (z0, 5.4124, 1e4, 3.0 + 40.0j):
+                if solver._pattern is None:
+                    data = z * solver._Eb - solver._Ab
+                    lu = solver._band.factor(data.copy(order="F"))
+                else:
+                    data = z * solver._Ep - solver._Ap
+                    lu = solver._pattern.splu(data)
+                exact = np.linalg.norm(np.linalg.inv(z * sys.E - sys.A), 1)
+                est = transfer._inv_norm1_estimate(lu, data.dtype)
+                assert 0.3 * exact <= est <= exact * (1 + 1e-12)
 
 
 _BAND_SYSTEMS = {
@@ -288,8 +320,32 @@ _BAND_SYSTEMS = {
 }
 
 
+def _count_factorizations(monkeypatch):
+    """Count the factorizations by path: dense LU, band LU and SuperLU; returns the counter."""
+    calls = {"dense": 0, "band": 0, "sparse": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(transfer.sla, "lu_factor", counted("dense", transfer.sla.lu_factor))
+    monkeypatch.setattr(qb_model.BandPattern, "factor",
+                        counted("band", qb_model.BandPattern.factor))
+    monkeypatch.setattr(qb_model.CscPattern, "splu", counted("sparse", qb_model.CscPattern.splu))
+    return calls
+
+
+def _paths(calls):
+    """The paths that factored since the last call, which resets the counter."""
+    used = {name for name, count in calls.items() if count}
+    calls.update(dict.fromkeys(calls, 0))
+    return used
+
+
 class TestBandPencil:
-    """Point evaluations: a band LU of the RCM-ordered pencil below the sparse cut, SuperLU from it on."""
+    """Uncached factorizations: a band LU of the RCM-ordered pencil, SuperLU for a wide one from the cut on."""
 
     @pytest.mark.parametrize("name", sorted(_BAND_SYSTEMS))
     def test_solve_once_matches_solve(self, name):
@@ -301,7 +357,8 @@ class TestBandPencil:
             want = solver.solve(s, b)
             got = solver.solve_once(s, b)
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), s
-        assert (solver._band is not None) == (solver._pattern is None)
+        assert (solver._pattern is not None) == (qb_model.sparse_factors(sys)
+                                                 and not solver._band.narrow)
 
     @pytest.mark.parametrize("make, bandwidths", [
         (lambda: benchmarks.rc_ladder(50), (3, 3)),
@@ -310,12 +367,45 @@ class TestBandPencil:
     ], ids=["rc l=50", "burgers n=300", "fhn nbar=20"])
     def test_rcm_bandwidths(self, make, bandwidths):
         solver = transfer.PencilSolver(make())
-        band = transfer._BandPencil(solver.E, solver.A)
+        band = solver._band
         assert (band.kl, band.ku) == bandwidths
         # the order of the joint pattern of E and A alone
         pattern = (abs(solver.E) + abs(solver.A)).tocsr()
         assert np.array_equal(band.perm, reverse_cuthill_mckee(pattern, symmetric_mode=False))
-        assert band.E.shape == band.A.shape == (2 * band.kl + band.ku + 1, solver.sys.n)
+        assert solver._Eb.shape == solver._Ab.shape == (2 * band.kl + band.ku + 1, solver.sys.n)
+
+    @pytest.mark.parametrize("make, cached, once", [
+        (lambda: benchmarks.rc_ladder(50), "dense", "band"),
+        (lambda: benchmarks.burgers(300, 0.01), "band", "band"),
+        (lambda: benchmarks.fitzhugh_nagumo(20), "dense", "band"),
+        (lambda: benchmarks.fitzhugh_nagumo(43), "sparse", "sparse"),
+    ], ids=["rc l=50", "burgers n=300", "fhn nbar=20", "fhn nbar=43"])
+    def test_path_selection(self, make, cached, once, monkeypatch):
+        """solve, solve_t and dH2 factor on the `cached` path, solve_once on the `once` path."""
+        sys = make()
+        solver = transfer.PencilSolver(sys)
+        calls = _count_factorizations(monkeypatch)
+        s1, s2 = 5.4124, 3.0 + 40.0j
+        for solve in (lambda: solver.solve(s1, sys.B), lambda: solver.solve_t(s2, sys.C),
+                      lambda: transfer.dH2(sys, s1, s2, 1, solver)):
+            solve()
+            assert _paths(calls) == {cached}
+        for s, b in [(s1 + s2, sys.B), (2 * s1, sys.B)]:
+            solver.solve_once(s, b)
+            assert _paths(calls) == {once}
+
+    def test_band_solve_t_matches_dense(self, monkeypatch):
+        sys = benchmarks.burgers(300, 0.01)
+        band = transfer.PencilSolver(sys)
+        assert band._sparse and band._pattern is None
+        monkeypatch.setattr(qb_model, "SPARSE_FACTOR_N", np.inf)
+        dense = transfer.PencilSolver(sys)
+        g = np.random.default_rng(3)
+        b_complex = g.standard_normal(sys.n) + 1j * g.standard_normal(sys.n)
+        for s, b in [(5.4124, sys.C), (3.0 + 40.0j, sys.C), (119.5642, b_complex)]:
+            want = dense.solve_t(s, b)
+            got = band.solve_t(s, b)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), s
 
 
 @pytest.mark.parametrize("sys", [
