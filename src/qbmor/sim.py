@@ -24,9 +24,15 @@ and the state dimension n, by the rules of ``qb_model``:
 
 Implicit Euler solves the per-step nonlinear equation by Newton iteration
 with the analytic Jacobian E/dt - A - N u - 2 Q(x kron .).  RK4 integrates
-the explicit vector field E^{-1}(...) and therefore requires invertible E;
-it factors E once, checks the factors with LAPACK gecon and solves every
-stage with LAPACK getrs on them.
+the explicit vector field E^{-1}(...) and therefore requires invertible E.
+Where no stored entry of E lies off its diagonal (the lifted benchmarks
+have E = I), each stage divides by diag(E), and RK4 refuses a diagonal
+whose min |d| is below RK4_E_RCOND max |d|, or that is all zero or not
+finite; implicit Euler's residual scales by diag(E) in place of a product
+with E.  Any other E (a projected ROM's, generically) is factored once,
+checked with LAPACK gecon, and every stage solves with LAPACK getrs on the
+factors.  The input u is evaluated once per run, at every time a step
+needs: t_k, t_k + dt/2 and t_k + dt for RK4, t_{k+1} for implicit Euler.
 """
 
 from __future__ import annotations
@@ -53,7 +59,8 @@ __all__ = [
 
 NEWTON_TOL = 1e-10
 NEWTON_MAX_STEPS = 20
-#: reciprocal condition estimate of E below which RK4 refuses to run
+#: reciprocal condition of E below which RK4 refuses to run: LAPACK gecon's
+#: estimate, or min |d| / max |d| exactly for a diagonal E = diag(d)
 RK4_E_RCOND = 1e-14
 #: |y| above which a run counts as diverged and stops
 DIVERGENCE_LIMIT = 1e6
@@ -79,6 +86,15 @@ def _run_quadratic(Q):
     return Q.toarray() if dense_quadratic(Q) else Q
 
 
+def _diagonal(E):
+    """diag(E) if no stored entry of E (dense or sparse) lies off its diagonal, else None."""
+    if sp.issparse(E):
+        C = E.tocoo()
+        return None if np.any(C.row != C.col) else E.diagonal()
+    d = np.diagonal(E).copy()
+    return d if np.count_nonzero(E) == np.count_nonzero(d) else None
+
+
 class _RunOperators:
     """A system's operators in the forms one run evaluates them in (module docstring)."""
 
@@ -88,6 +104,7 @@ class _RunOperators:
         self.sparse = sparse_factors(sys)
         form = sp.csr_matrix if self.sparse else np.asarray
         self.E, self.A, self.N = form(sys.E), form(sys.A), form(sys.N)
+        self.e = _diagonal(self.E)
         self.B = sys.B
         self.band = self.pattern = None
         if not sp.issparse(Q):
@@ -109,6 +126,10 @@ class _RunOperators:
         else:
             self.slots, self.shape = keys, (n, n)
         self.size = int(np.prod(self.shape))
+
+    def mass(self, v):
+        """E v, as diag(E) * v for a diagonal E."""
+        return self.e * v if self.e is not None else self.E @ v
 
     def quadratic(self, x):
         """Q(x kron x)."""
@@ -153,7 +174,9 @@ def simulate_qb(sys, u, t_end, dt, scheme="implicit_euler"):
     """Integrate a QB system from sys.x0; returns the output trajectory y = C x.
 
     The operators are evaluated in the run's forms (see the module
-    docstring) without ever materializing x kron x as a matrix.  If |y|
+    docstring) without ever materializing x kron x as a matrix.  u is
+    called once per step grid with an array of times (``InputSignal``
+    takes one) and may return a scalar for a constant input.  If |y|
     exceeds DIVERGENCE_LIMIT the run is truncated and flagged in the
     trajectory metadata.
     """
@@ -174,29 +197,19 @@ def simulate_qb(sys, u, t_end, dt, scheme="implicit_euler"):
     ops = _RunOperators(sys)
 
     if scheme == "rk4":
-        # lu_factor only warns on an exactly singular matrix; gecon's
-        # reciprocal condition estimate of the factors is 0 there, and NaN
-        # for a non-finite E
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", sla.LinAlgWarning)
-            lu, piv = sla.lu_factor(sys.E, check_finite=False)
-        getrs, gecon = sla.get_lapack_funcs(("getrs", "gecon"), (lu,))
-        rcond, _ = gecon(lu, np.linalg.norm(sys.E, 1), norm="1")
-        if not rcond >= RK4_E_RCOND:
-            raise SimulationError("rk4 requires invertible E")
-
-        def f(t, x):
-            # the routine lu_solve calls, without its per-call wrapper and
-            # finite check; the divergence check below catches non-finite states
-            return getrs(lu, piv, _qb_rhs(ops, x, float(u(t))), overwrite_b=True)[0]
+        f = _rk4_field(ops, sys.E)
+        # u at t_k, t_k + dt/2 and t_k + dt, the times integrate_rk4 passes its f
+        t = times[:-1]
+        u1, u2, u4 = (_input_values(u, s) for s in (t, t + dt / 2, t + dt))
     else:
         ie = _ImplicitEuler(ops, dt)
+        u_next = _input_values(u, times[1:])
 
     for k in range(nsteps):
         if scheme == "rk4":
-            x = _rk4_step(f, times[k], x, dt)
+            x = _rk4_step(f, x, dt, u1[k], u2[k], u4[k])
         else:
-            x = ie.step(x, float(u(times[k + 1])), k)
+            x = ie.step(x, u_next[k], k)
         ys[k + 1] = sys.C @ x
         if abs(ys[k + 1]) > DIVERGENCE_LIMIT or not np.isfinite(ys[k + 1]):
             diverged = True
@@ -208,12 +221,51 @@ def simulate_qb(sys, u, t_end, dt, scheme="implicit_euler"):
     })
 
 
-def _rk4_step(f, t, x, dt):
-    """One classic RK4 step of x' = f(t, x) from time t."""
-    k1 = f(t, x)
-    k2 = f(t + dt / 2, x + dt / 2 * k1)
-    k3 = f(t + dt / 2, x + dt / 2 * k2)
-    k4 = f(t + dt, x + dt * k3)
+def _input_values(u, t):
+    """u at every time in the array t, from one call of u, as a list of floats."""
+    return np.broadcast_to(np.asarray(u(t), dtype=float), t.shape).tolist()
+
+
+def _rk4_field(ops, E):
+    """v, x -> E^{-1}(A x + (N x) v + Q(x kron x) + B v); SimulationError unless E is invertible.
+
+    A diagonal E is applied as its diagonal, refused exactly where gecon's
+    estimate would fall below RK4_E_RCOND; any other E (dense, as the
+    system holds it) is factored once and every stage solves with getrs.
+    """
+    d = ops.e
+    if d is not None:
+        lo, hi = np.min(np.abs(d)), np.max(np.abs(d))
+        # NaN fails every comparison, so a non-finite diagonal is refused too
+        if not (0 < hi < np.inf and lo >= RK4_E_RCOND * hi):
+            raise SimulationError("rk4 requires invertible E")
+        return lambda v, x: _qb_rhs(ops, x, v) / d
+    # lu_factor only warns on an exactly singular matrix; gecon's
+    # reciprocal condition estimate of the factors is 0 there, and NaN
+    # for a non-finite E
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", sla.LinAlgWarning)
+        lu, piv = sla.lu_factor(E, check_finite=False)
+    getrs, gecon = sla.get_lapack_funcs(("getrs", "gecon"), (lu,))
+    rcond, _ = gecon(lu, np.linalg.norm(E, 1), norm="1")
+    if not rcond >= RK4_E_RCOND:
+        raise SimulationError("rk4 requires invertible E")
+
+    def f(v, x):
+        # the routine lu_solve calls, without its per-call wrapper and
+        # finite check; the divergence check catches non-finite states
+        return getrs(lu, piv, _qb_rhs(ops, x, v), overwrite_b=True)[0]
+
+    return f
+
+
+def _rk4_step(f, x, dt, a1, a2, a4):
+    """One classic RK4 step of x' = f(a, x), with a = a1 at the step's start,
+    a2 at its midpoint and a4 at its end (the times, or the input there)."""
+    k1 = f(a1, x)
+    k2 = f(a2, x + dt / 2 * k1)
+    k3 = f(a2, x + dt / 2 * k2)
+    k4 = f(a4, x + dt * k3)
     return x + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
@@ -232,7 +284,7 @@ class _ImplicitEuler:
         J_lin = self.G - self.N * u_next
         x_new = x.copy()
         for _ in range(NEWTON_MAX_STEPS):
-            F = ops.E @ (x_new - x) / dt - _qb_rhs(ops, x_new, u_next)
+            F = ops.mass(x_new - x) / dt - _qb_rhs(ops, x_new, u_next)
             if np.linalg.norm(F) <= NEWTON_TOL * scale:
                 return x_new
             x_new = x_new - ops.solve(J_lin - ops.quadratic_jacobian(x_new), F)
@@ -248,7 +300,8 @@ def integrate_rk4(f, x0, t_end, dt):
     x = np.array(x0, dtype=float)
     xs[0] = x
     for k in range(nsteps):
-        x = _rk4_step(f, times[k], x, dt)
+        t = times[k]
+        x = _rk4_step(f, x, dt, t, t + dt / 2, t + dt)
         xs[k + 1] = x
     return times, xs
 

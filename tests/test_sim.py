@@ -1,5 +1,7 @@
 """Time integration tests: closed-form oracles, convergence orders, divergence."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -10,6 +12,7 @@ from qbmor.qb_model import SPARSE_FACTOR_N, BandPattern, apply_quadratic
 from qbmor.sim import (
     NEWTON_MAX_STEPS,
     NEWTON_TOL,
+    RK4_E_RCOND,
     SimulationError,
     Trajectory,
     _RunOperators,
@@ -384,6 +387,170 @@ class TestSparseNewton:
             simulate_qb(sys, InputSignal("zero"), 1.0, 0.5)
 
 
+def _with_mass(sys, E):
+    return QBSystem.from_operators(E, sys.A, sys.N, sys.Q, sys.B, sys.C, x0=sys.x0,
+                                   name=sys.name)
+
+
+# E = I, held dense below the sparse cut and CSR from it on
+_DIAGONAL_MASS_SYSTEMS = [
+    pytest.param(benchmarks.rc_ladder(10), id="rc l=10 dense"),
+    pytest.param(benchmarks.burgers(150, 0.01), id="burgers n=150 csr"),
+]
+# (horizon, step) per scheme; RK4 on Burgers n=150 needs dt below about 3e-3
+_GRIDS = {"rk4": (0.05, 5e-4), "implicit_euler": (0.2, 1e-2)}
+
+
+class TestDiagonalMass:
+    """A diagonal E is applied as its diagonal: RK4 divides by it, implicit
+    Euler's residual scales by it, and neither factors E."""
+
+    @pytest.mark.parametrize("sys", _DIAGONAL_MASS_SYSTEMS)
+    def test_rk4_bit_identical_to_lu_solve_loop(self, sys):
+        ops = _RunOperators(sys)
+        assert ops.sparse == (sys.n >= SPARSE_FACTOR_N) and sp.issparse(ops.E) == ops.sparse
+        assert np.array_equal(ops.e, np.ones(sys.n))
+        u = InputSignal("exp_decay")
+        t_end, dt = _GRIDS["rk4"]
+        traj = simulate_qb(sys, u, t_end, dt, scheme="rk4")
+        assert not traj.meta["diverged"]
+        # the right-hand side in the run's forms (CSR A and N from the cut on), E by lu_solve
+        elu = sla.lu_factor(sys.E)
+        _, xs = integrate_rk4(lambda t, x: sla.lu_solve(elu, sim._qb_rhs(ops, x, float(u(t)))),
+                              sys.x0, t_end, dt)
+        assert np.array_equal(traj.outputs, [sys.C @ x for x in xs])
+
+    @pytest.mark.parametrize("sys", _DIAGONAL_MASS_SYSTEMS)
+    def test_implicit_euler_bit_identical_to_product_with_e(self, sys, monkeypatch):
+        u = InputSignal("exp_decay")
+        traj = simulate_qb(sys, u, *_GRIDS["implicit_euler"])
+        monkeypatch.setattr(sim, "_diagonal", lambda E: None)  # E @ v, as a GEMV or CSR product
+        assert _RunOperators(sys).e is None
+        assert np.array_equal(traj.outputs, simulate_qb(sys, u, *_GRIDS["implicit_euler"]).outputs)
+
+    def test_implicit_euler_bit_identical_to_solve_loop(self, monkeypatch):
+        monkeypatch.setattr(qb_model, "BAND_MAX", -1)  # the dense Newton solve of the loop
+        sys = benchmarks.rc_ladder(10)
+        u = InputSignal("exp_decay")
+        traj = simulate_qb(sys, u, *_GRIDS["implicit_euler"])
+        assert np.array_equal(traj.outputs,
+                              _csr_reference(sys, u, *_GRIDS["implicit_euler"], "implicit_euler"))
+
+    @pytest.mark.parametrize("sys", _DIAGONAL_MASS_SYSTEMS)
+    @pytest.mark.parametrize("scheme", ["implicit_euler", "rk4"])
+    def test_general_diagonal_agrees_with_factored_path(self, sys, scheme, monkeypatch):
+        d = np.random.default_rng(sys.n).uniform(0.5, 2.0, sys.n)
+        sys = _with_mass(sys, np.diag(d))
+        assert np.array_equal(_RunOperators(sys).e, d)
+        u = InputSignal("exp_decay")
+        diagonal = simulate_qb(sys, u, *_GRIDS[scheme], scheme=scheme)
+        monkeypatch.setattr(sim, "_diagonal", lambda E: None)
+        factored = simulate_qb(sys, u, *_GRIDS[scheme], scheme=scheme)
+        assert not (diagonal.meta["diverged"] or factored.meta["diverged"])
+        rel = np.max(np.abs(diagonal.outputs - factored.outputs)) / np.max(np.abs(factored.outputs))
+        assert rel <= 1e-12
+
+    @pytest.mark.parametrize("d", [
+        [1.0, 0.0, 1.0], [1.0, np.nan, 1.0], [0.0, 0.0, 0.0], [1.0, np.inf, 1.0],
+        [np.inf] * 3, [1.0, 0.99 * RK4_E_RCOND, -1.0], [1.0, 1.01 * RK4_E_RCOND, -1.0],
+        [-2.0, 3.0, 0.5],
+    ], ids=["zero entry", "nan", "all zero", "inf", "all inf", "just below", "just above",
+            "regular"])
+    def test_rk4_refusal_matches_gecon(self, d):
+        E = np.diag(d)
+        n = E.shape[0]
+        # built directly: from_operators refuses the pencils whose E is all zero or not finite
+        sys = QBSystem(E, -np.eye(n), np.zeros((n, n)), sp.csr_matrix((n, n * n)),
+                       np.zeros(n), np.ones(n), np.zeros(n))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", sla.LinAlgWarning)  # exactly singular
+            lu, _ = sla.lu_factor(E, check_finite=False)
+        rcond, _ = sla.get_lapack_funcs("gecon", (lu,))(lu, np.linalg.norm(E, 1), norm="1")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                traj = simulate_qb(sys, InputSignal("zero"), 0.2, 0.1, scheme="rk4")
+            except SimulationError as exc:
+                assert "invertible E" in str(exc)
+                ran = False
+            else:
+                assert traj.outputs.tolist() == [0.0] * 3  # x = 0 is a rest state
+                ran = True
+        assert ran == (rcond >= RK4_E_RCOND)
+
+    @pytest.mark.parametrize("sys", _DIAGONAL_MASS_SYSTEMS)
+    def test_no_lu_factor_for_diagonal_e(self, sys, monkeypatch):
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return lu_factor(*args, **kwargs)
+
+        lu_factor = sla.lu_factor
+        monkeypatch.setattr(sim.sla, "lu_factor", spy)
+        simulate_qb(sys, InputSignal("exp_decay"), *_GRIDS["rk4"], scheme="rk4")
+        assert calls == []
+        # a projected ROM's E is not diagonal, so it is factored once per run
+        simulate_qb(_projected_rom(_sparse_system_nonsymmetric_mass()),
+                    InputSignal("exp_decay"), *_GRIDS["rk4"], scheme="rk4")
+        assert len(calls) == 1
+
+    def test_diagonal_detection_dense_and_csr(self):
+        d = np.array([1.0, 0.0, -2.0])
+        assert np.array_equal(sim._diagonal(np.diag(d)), d)
+        assert np.array_equal(sim._diagonal(sp.csr_matrix(np.diag(d))), d)
+        off = np.diag(d)
+        off[0, 2] = 1e-300
+        assert sim._diagonal(off) is None and sim._diagonal(sp.csr_matrix(off)) is None
+        off[0, 2] = np.nan
+        assert sim._diagonal(off) is None
+        # a stored zero off the diagonal is still a stored entry
+        stored = sp.csr_matrix((np.array([1.0, 0.0, 1.0, 1.0]), ([0, 0, 1, 2], [0, 1, 1, 2])))
+        assert sim._diagonal(stored) is None
+
+
+_INPUT_KINDS = [
+    InputSignal("exp_decay", {"a": 1.3, "b": 0.7}),
+    InputSignal("cosine_pi"),
+    InputSignal("cubic_pulse"),
+    InputSignal("zero"),
+    InputSignal("table", {"times": [0.0, 0.3, 1.1], "values": [0.0, 2.0, -1.0]}),
+]
+
+
+class TestInputOncePerRun:
+    @pytest.mark.parametrize("scheme", ["implicit_euler", "rk4"])
+    def test_input_called_o1_times(self, scheme, monkeypatch):
+        calls = []
+        call = InputSignal.__call__
+
+        def counted(self, t):
+            calls.append(np.shape(t))
+            return call(self, t)
+
+        monkeypatch.setattr(InputSignal, "__call__", counted)
+        sys = scalar_qb(a=1.0, q=0.3, nu=0.2, x0=0.1)
+        per_run = []
+        for nsteps in (10, 1000):
+            calls.clear()
+            simulate_qb(sys, InputSignal("exp_decay"), 1.0, 1.0 / nsteps, scheme=scheme)
+            per_run.append(len(calls))
+        assert per_run[0] == per_run[1] == (3 if scheme == "rk4" else 1)
+
+    @pytest.mark.parametrize("u", _INPUT_KINDS, ids=lambda u: u.kind)
+    @pytest.mark.parametrize("dt", [1e-3, 2.5e-4, 0.37])
+    def test_vectorized_values_bit_identical_to_scalar_calls(self, u, dt):
+        times = np.arange(int(round(2.0 / dt)) + 1) * dt
+        # the times integrate_rk4 passes its f: t_k, t_k + dt/2 and t_k + dt
+        for shift in (0.0, dt / 2, dt):
+            grid = times[:-1] + shift if shift else times[:-1]
+            scalar = np.array([float(u(t + shift if shift else t)) for t in times[:-1]])
+            for values in (u(grid), np.array(sim._input_values(u, grid))):
+                assert np.array_equal(values.view(np.int64), scalar.view(np.int64))
+        assert np.array_equal(np.array(sim._input_values(u, times[1:])),
+                              [float(u(t)) for t in times[1:]])
+
+
 class TestSchemesAgree:
     def test_both_schemes_same_trajectory(self):
         sys = scalar_qb(a=2.0, q=0.4, nu=0.1, x0=0.2)
@@ -435,6 +602,23 @@ class TestGenericIntegrators:
     def test_rk4_exponential(self):
         times, xs = integrate_rk4(lambda t, x: -x, np.array([1.0]), 1.0, 1e-3)
         assert np.isclose(xs[-1, 0], np.exp(-1.0), rtol=1e-10)
+
+    def test_rk4_bit_identical_to_classic_loop(self):
+        def f(t, x):
+            return np.array([x[1], -np.sin(3.0 * t) * x[0] - 0.5 * x[1] ** 2])
+
+        x0, t_end, dt = np.array([1.0, -0.25]), 2.0, 1.0 / 30
+        times, xs = integrate_rk4(f, x0, t_end, dt)
+        x, ref = x0.copy(), [x0]
+        for t in np.arange(60) * dt:
+            k1 = f(t, x)
+            k2 = f(t + dt / 2, x + dt / 2 * k1)
+            k3 = f(t + dt / 2, x + dt / 2 * k2)
+            k4 = f(t + dt, x + dt * k3)
+            x = x + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+            ref.append(x)
+        assert np.array_equal(times, np.arange(61) * dt)
+        assert np.array_equal(xs, np.array(ref))
 
 
 class TestCompareOutputs:
