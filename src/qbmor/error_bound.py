@@ -51,8 +51,7 @@ The true errors that validate the bound reuse the scan's batch
 (:meth:`BoundEvaluator.true_errors`, one call per scan): the full model's
 H1 is C X1 on the same x1 columns, the reduced transfer values come from
 the same stacked solve, and the full H2 takes one one-shot solve
-(``PencilSolver.solve_once``: a band LU, or SuperLU for a wide band from
-the sparse cut on) with the batch's B2 at each pair sum s1 + s.
+(``PencilSolver.solve_once``) with the batch's B2 at each pair sum s1 + s.
 """
 
 from __future__ import annotations

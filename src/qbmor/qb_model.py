@@ -45,28 +45,33 @@ _REGULARITY_PROBES = (1.0, 10.0, 100.0, 1.0 + 1.0j)
 #: stored fraction of Q's n^3 entries from which Q counts as dense (a
 #: projected ROM's tensor generically has all of them)
 DENSE_Q_FILL = 0.5
-#: state dimension from which a system with a sparse Q is held sparse: transfer
-#: keeps no dense LU per frequency, and a linear system whose band is wider
-#: than BAND_MAX (a pencil zE - A in transfer, a Newton Jacobian in sim) is
-#: factored by SuperLU; implicit Euler on FitzHugh-Nagumo, whose Jacobian
-#: band is about as wide as n, is faster so from n = 100 on (n = 127: 4085
-#: against 2561 steps/s, one BLAS thread), slower at n = 61 (4976 against 6707)
+#: state dimension from which a system with a sparse Q is held sparse
+#: (``sparse_factors``): transfer keeps no dense LU per frequency, and sim
+#: holds E, A and N as CSR.  It is also the n cut of the one rule by which
+#: transfer and sim factor a matrix on a fixed pattern (a pencil zE - A, a
+#: Newton Jacobian), the kind of :class:`FactorPattern`:
+#:   band:   LAPACK gbtrf, where the pattern's reverse Cuthill-McKee band
+#:           kl + ku is at most BAND_MAX, at any n;
+#:   dense:  LAPACK getrf on a wider pattern below SPARSE_FACTOR_N;
+#:   sparse: SuperLU on a wider pattern from SPARSE_FACTOR_N on.
+#: Implicit Euler on FitzHugh-Nagumo, whose Jacobian band is about as wide
+#: as n, is faster with SuperLU from n = 100 on (n = 127: 4643 against 2910
+#: steps/s, one BLAS thread), slower at n = 61 (5811 against 8912); a wide
+#: band LU costs O(n^3) (nbar = 300 pencil: 40 against SuperLU's 0.8 ms)
 SPARSE_FACTOR_N = 128
-#: widest reverse Cuthill-McKee band kl + ku (:class:`BandPattern`) that is
-#: treated as a band.  From the sparse cut on, a pencil this narrow is
-#: factored by band LU, not SuperLU, and has its sigma_min and field of
-#: values certified by band Cholesky in place of svdvals and eigvalsh.  The
-#: certificate's cost grows with n (kl + ku)^2 and svdvals' with n^3, so the
-#: limit is where the two break even at n = 128, the sparse cut's smallest
-#: n.  CPU ms per sigma_min of random band pencils there, one BLAS thread,
-#: real (complex) s: kl + ku = 2: 0.74 against svdvals' 1.43; 12: 1.14
-#: (1.50) against 1.16 (1.71); 16: 1.44 (2.03) against 1.18 (1.87).  A band
-#: LU beats a dense solve and SuperLU far beyond the limit, so the
-#: certificate's limit serves the band LUs too: CPU us per solve of random band
-#: matrices, one BLAS thread, kl + ku = 12: 20 against a dense solve's 131
-#: at n = 100, 51 against SuperLU's 455 at n = 300; kl + ku = 48: 45 against
-#: 117 at n = 100.  FitzHugh-Nagumo nbar = 43 (n = 130) has a pencil band of
-#: 82/84.
+#: widest reverse Cuthill-McKee band kl + ku treated as a band: factored by
+#: band LU at any n, and from the sparse cut on given a sigma_min and field
+#: of values certified by band Cholesky in place of svdvals and eigvalsh.
+#: The certificate's cost grows with n (kl + ku)^2 and svdvals' with n^3, so
+#: the limit is where the two break even at n = 128, the sparse cut's
+#: smallest n.  CPU ms per sigma_min of random band pencils there, one BLAS
+#: thread, real (complex) s: kl + ku = 2: 0.74 against svdvals' 1.43; 12:
+#: 1.14 (1.50) against 1.16 (1.71); 16: 1.44 (2.03) against 1.18 (1.87).  A
+#: band LU beats a dense solve and SuperLU far beyond the limit (CPU us per
+#: solve, kl + ku = 12: 20 against a dense solve's 131 at n = 100, 51
+#: against SuperLU's 455 at n = 300), but a band about as wide as n is
+#: slower than a dense LU (FitzHugh-Nagumo nbar = 40, n = 121, pencil band
+#: 76/78: 0.46 against 0.42 ms per complex solve, one BLAS thread).
 BAND_MAX = 12
 
 
@@ -100,41 +105,77 @@ def quadratic_gather(Q):
     return g
 
 
-class CscPattern:
-    """A CSC pattern fixed once, whose data is rewritten for every factorization.
+class FactorPattern:
+    """A pattern fixed once, whose matrices are factored by the rule stated at SPARSE_FACTOR_N.
 
     The pattern is the union of the stored entries of some n x n matrices
-    and of extra entries, given as column-major keys col * n + row; the
-    matrix's data follows the sorted keys.
+    and of extra entries, given as column-major keys col * n + row.  Row and
+    column i of its reverse Cuthill-McKee order are row and column perm[i]
+    of the original, order is the inverse permutation, and kl and ku are
+    the permuted pattern's bandwidths below and above the diagonal.  The
+    order narrows the band of the RC ladder (l=50: 52/51 down to 3/3);
+    Burgers is 1/1 either way, and a dense row or column, as
+    FitzHugh-Nagumo's constant state gives, keeps a band about as wide as n.
+
+    A matrix on the pattern is held as data of ``shape``: for a band, in
+    Fortran order, entry (i, j) of the permuted matrix in row kl + ku + i - j
+    of column j, under kl zero rows for the LU's fill-in; dense, as the n x n
+    matrix in Fortran order; sparse, as the data of a CSC matrix whose
+    entries follow the sorted keys.  :meth:`factor` returns factors whose
+    ``solve(b, trans)`` takes trans "N", "T" or "H" as SuperLU's does.
     """
 
     def __init__(self, n, matrices, extra_keys=()):
         self.n = n
         self.keys = _pattern_keys(matrices, extra_keys)
-        self.cols = self.keys // n
-        self.matrix = sp.csc_matrix((np.zeros(self.keys.size), (self.keys % n, self.cols)),
-                                    shape=(n, n))
+        rows, self.cols = self.keys % n, self.keys // n
+        pattern = sp.csr_matrix((np.ones(self.keys.size), (rows, self.cols)), shape=(n, n))
+        self.perm = reverse_cuthill_mckee(pattern, symmetric_mode=False)
+        self.order = np.empty(n, dtype=np.int64)
+        self.order[self.perm] = np.arange(n)
+        offsets = self.order[rows] - self.order[self.cols]
+        self.kl, self.ku = int(np.max(offsets, initial=0)), int(np.max(-offsets, initial=0))
+        self.narrow = self.kl + self.ku <= BAND_MAX
+        if self.narrow:
+            self.kind, self.shape = "band", (2 * self.kl + self.ku + 1, n)
+        elif n < SPARSE_FACTOR_N:
+            self.kind, self.shape = "dense", (n, n)
+        else:
+            self.kind, self.shape = "sparse", (self.keys.size,)
+            self.matrix = sp.csc_matrix((np.zeros(self.keys.size), (rows, self.cols)),
+                                        shape=(n, n))
 
     def slots(self, keys):
-        """Positions of the given keys in the pattern's data."""
-        return np.searchsorted(self.keys, keys)
+        """Positions of the given keys (col * n + row) in the flattened data."""
+        if self.kind == "sparse":
+            return np.searchsorted(self.keys, keys)
+        if self.kind == "dense":
+            return keys
+        i, j = self.order[keys % self.n], self.order[keys // self.n]
+        return j * self.shape[0] + self.kl + self.ku + i - j
 
     def values(self, M):
-        """The entries of M (on the pattern) as pattern data."""
-        out = np.zeros(self.keys.size)
-        out[self.slots(_csc_keys(M))] = sp.coo_matrix(M).data
-        return out
+        """M (on the pattern) as pattern data."""
+        data = np.zeros(int(np.prod(self.shape)), dtype=M.dtype)
+        data[self.slots(_csc_keys(M))] = sp.coo_matrix(M).data
+        return data.reshape(self.shape, order="F")
 
     def norm1(self, data):
         """1-norm (largest absolute column sum) of the matrix with these data."""
-        return float(np.bincount(self.cols, np.abs(data), minlength=self.n).max())
+        if self.kind == "sparse":
+            return float(np.bincount(self.cols, np.abs(data), minlength=self.n).max())
+        return np.abs(data).sum(axis=0).max()
 
-    def splu(self, data):
-        """SuperLU factors of the matrix with these data (real or complex).
+    def factor(self, data):
+        """Factors of the matrix with these data (real or complex).
 
-        SuperLU reports an exactly singular factor as a RuntimeError; it is
-        raised here as ``np.linalg.LinAlgError``.
+        A band or dense LU overwrites data.  An exactly zero pivot raises
+        ``np.linalg.LinAlgError``, also where SuperLU reports a RuntimeError.
         """
+        if self.kind == "band":
+            return BandLU(self, data)
+        if self.kind == "dense":
+            return DenseLU(data)
         self.matrix.data = data
         try:
             return spla.splu(self.matrix)
@@ -142,85 +183,55 @@ class CscPattern:
             raise np.linalg.LinAlgError(str(exc)) from exc
 
 
-class BandPattern:
-    """A pattern in reverse Cuthill-McKee order, its matrices held as LAPACK gbtrf reads them.
+class BandLU:
+    """LAPACK gbtrf factors of band data of a :class:`FactorPattern`, in the matrix's own order."""
 
-    The pattern is built as :class:`CscPattern`'s.  Row and column i of the
-    permuted matrix are row and column perm[i] of the original, order is
-    the inverse permutation, and kl and ku are the permuted pattern's
-    bandwidths below and above the diagonal.  The order narrows the band of
-    the RC ladder (l=50: 52/51 down to 3/3); Burgers is 1/1 either way, and
-    a dense row or column, as FitzHugh-Nagumo's constant state gives, keeps
-    a band about as wide as n.  A matrix on the pattern is held in Fortran
-    order, entry (i, j) of the permuted matrix in row kl + ku + i - j of
-    column j, under kl zero rows for the LU's fill-in.
-    """
-
-    def __init__(self, n, matrices, extra_keys=()):
-        self.n = n
-        keys = _pattern_keys(matrices, extra_keys)
-        rows, cols = keys % n, keys // n
-        pattern = sp.csr_matrix((np.ones(keys.size), (rows, cols)), shape=(n, n))
-        self.perm = reverse_cuthill_mckee(pattern, symmetric_mode=False)
-        self.order = np.empty(n, dtype=np.int64)
-        self.order[self.perm] = np.arange(n)
-        offsets = self.order[rows] - self.order[cols]
-        self.kl, self.ku = int(np.max(offsets, initial=0)), int(np.max(-offsets, initial=0))
-        self.shape = (2 * self.kl + self.ku + 1, n)
-
-    @property
-    def narrow(self):
-        """True if kl + ku <= BAND_MAX."""
-        return self.kl + self.ku <= BAND_MAX
-
-    def slots(self, keys):
-        """Positions of the given keys (col * n + row) in the flattened band storage."""
-        i, j = self.order[keys % self.n], self.order[keys // self.n]
-        return j * self.shape[0] + self.kl + self.ku + i - j
-
-    def values(self, M):
-        """M (on the pattern) in band storage."""
-        ab = np.zeros(self.shape[0] * self.n, dtype=M.dtype)
-        ab[self.slots(_csc_keys(M))] = sp.coo_matrix(M).data
-        return ab.reshape(self.shape, order="F")
-
-    def factor(self, ab):
-        """LAPACK gbtrf factors of the matrix held in band storage ab, which they overwrite.
-
-        An exactly zero pivot raises ``np.linalg.LinAlgError``.
-        """
-        gbtrf, _, _ = _band_lapack(ab.dtype)
-        lu, piv, info = gbtrf(ab, self.kl, self.ku, overwrite_ab=True)
+    def __init__(self, band, ab):
+        gbtrf, self._gbtrs, self._gbcon = _lapack(ab.dtype, ("gbtrf", "gbtrs", "gbcon"))
+        self.lu, self.piv, info = gbtrf(ab, band.kl, band.ku, overwrite_ab=True)
         if info > 0:
             raise np.linalg.LinAlgError(f"zero pivot in column {info}")
-        return BandLU(self, lu, piv)
-
-
-class BandLU:
-    """Factors from :meth:`BandPattern.factor`, used in the matrix's own row and column order."""
-
-    def __init__(self, band, lu, piv):
-        self.band, self.lu, self.piv = band, lu, piv
-        self.shape = (band.n, band.n)
+        self.band, self.shape = band, (band.n, band.n)
 
     def solve(self, b, trans="N"):
         """x with M x = b, M^T x = b or M^H x = b for trans "N", "T" or "H", as SuperLU's solve."""
         band = self.band
-        gbtrs = _band_lapack(self.lu.dtype)[1]
-        x = gbtrs(self.lu, band.kl, band.ku, b[band.perm], self.piv, "NTH".index(trans),
-                  overwrite_b=True)[0]
+        x = self._gbtrs(self.lu, band.kl, band.ku, b[band.perm], self.piv, "NTH".index(trans),
+                        overwrite_b=True)[0]
         return x[band.order]
 
     def rcond(self, anorm):
         """LAPACK gbcon's reciprocal condition estimate, given the 1-norm anorm of the matrix."""
-        gbcon = _band_lapack(self.lu.dtype)[2]
-        return gbcon(self.band.kl, self.band.ku, self.lu, self.piv, anorm)[0]
+        return self._gbcon(self.band.kl, self.band.ku, self.lu, self.piv, anorm)[0]
+
+
+class DenseLU:
+    """LAPACK getrf factors of a dense square matrix a, which they overwrite where they can.
+
+    Unlike ``scipy.linalg.lu_factor``, a zero pivot raises LinAlgError and
+    warns nothing; :meth:`solve` is ``lu_solve``'s getrs call, bitwise.
+    """
+
+    def __init__(self, a):
+        getrf, self._getrs, self._gecon = _lapack(a.dtype, ("getrf", "getrs", "gecon"))
+        self.lu, self.piv, info = getrf(a, overwrite_a=True)
+        if info > 0:
+            raise np.linalg.LinAlgError(f"zero pivot in column {info}")
+        self.shape = self.lu.shape
+
+    def solve(self, b, trans="N"):
+        """x with M x = b, M^T x = b or M^H x = b for trans "N", "T" or "H", as SuperLU's solve."""
+        return self._getrs(self.lu, self.piv, b, "NTH".index(trans))[0]
+
+    def rcond(self, anorm):
+        """LAPACK gecon's reciprocal condition estimate, given the 1-norm anorm of the matrix."""
+        return self._gecon(self.lu, anorm, "1")[0]
 
 
 @functools.lru_cache
-def _band_lapack(dtype):
-    """LAPACK gbtrf, gbtrs and gbcon for band storage of this dtype, looked up once per dtype."""
-    return sla.get_lapack_funcs(("gbtrf", "gbtrs", "gbcon"), dtype=dtype)
+def _lapack(dtype, names):
+    """The LAPACK routines of these names for this dtype, looked up once per dtype."""
+    return sla.get_lapack_funcs(names, dtype=dtype)
 
 
 def _csc_keys(M):

@@ -12,15 +12,12 @@ and the state dimension n, by the rules of ``qb_model``:
   entry (i, k).
 * With a sparse Q and n >= SPARSE_FACTOR_N (``qb_model.sparse_factors``),
   E, A and N are CSR too; below the cut, and for a dense Q, they stay dense.
-* With a sparse Q, every Newton Jacobian lies on the pattern of E, A, N and
-  Q's (i, k) entries.  Where that pattern's reverse Cuthill-McKee band kl +
-  ku is at most BAND_MAX (``qb_model.BandPattern``; the RC ladder 3/3,
-  Burgers 1/1), E/dt - A and N are held in LAPACK band storage in that
-  order, the quadratic part is summed straight into it, and each Newton
-  step is one band LU (``BandPattern.factor``, LAPACK gbtrf) and one solve.
-  A wider pattern (FitzHugh-Nagumo) is, from the cut on, a CSC pattern
-  fixed for the run whose data each Jacobian rewrites and SuperLU factors;
-  below it, and for a dense Q, LAPACK solves the dense Jacobian.
+* With a sparse Q, every Newton Jacobian lies on one ``qb_model.FactorPattern``
+  of E, A, N and Q's (i, k) entries, factored by the rule stated at
+  ``qb_model.SPARSE_FACTOR_N`` (a band LU for the RC ladder and Burgers):
+  E/dt - A and N are held as its data, the quadratic part is summed straight
+  into it, and each Newton step is one factorization and one solve.  For a
+  dense Q, LAPACK solves the dense Jacobian.
 
 Implicit Euler solves the per-step nonlinear equation by Newton iteration
 with the analytic Jacobian E/dt - A - N u - 2 Q(x kron .).  RK4 integrates
@@ -29,24 +26,23 @@ Where no stored entry of E lies off its diagonal (the lifted benchmarks
 have E = I), each stage divides by diag(E), and RK4 refuses a diagonal
 whose min |d| is below RK4_E_RCOND max |d|, or that is all zero or not
 finite; implicit Euler's residual scales by diag(E) in place of a product
-with E.  Any other E (a projected ROM's, generically) is factored once,
-checked with LAPACK gecon, and every stage solves with LAPACK getrs on the
-factors.  The input u is evaluated once per run, at every time a step
-needs: t_k, t_k + dt/2 and t_k + dt for RK4, t_{k+1} for implicit Euler.
+with E.  Any other E (a projected ROM's, generically) is factored once
+(``qb_model.DenseLU``), checked with LAPACK gecon, and every stage solves
+with LAPACK getrs on the factors.  The input u is evaluated once per run,
+at every time a step needs: t_k, t_k + dt/2 and t_k + dt for RK4, t_{k+1}
+for implicit Euler.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
+import scipy.linalg as sla  # noqa: F401 (span tracing wraps its kernels here)
 import scipy.sparse as sp
 
 from .qb_model import (
-    BandPattern, CscPattern, apply_quadratic, dense_quadratic, quadratic_gather,
-    sparse_factors,
+    DenseLU, FactorPattern, apply_quadratic, dense_quadratic, quadratic_gather, sparse_factors,
 )
 
 __all__ = [
@@ -106,7 +102,7 @@ class _RunOperators:
         self.E, self.A, self.N = form(sys.E), form(sys.A), form(sys.N)
         self.e = _diagonal(self.E)
         self.B = sys.B
-        self.band = self.pattern = None
+        self.pattern = None
         if not sp.issparse(Q):
             self.Q, self.Qj = Q, Q.reshape(n * n, n)  # row i*n + j holds T(i, j, :)
             return
@@ -116,15 +112,8 @@ class _RunOperators:
         # the Jacobian's pattern: E, A, N and every (i, k); each Newton
         # iteration rewrites the values of one matrix on it
         keys = self.k * n + i
-        band = BandPattern(n, (self.E, self.A, self.N), keys)
-        if band.narrow:
-            self.band = band
-            self.slots, self.shape = band.slots(keys), band.shape
-        elif self.sparse:
-            self.pattern = CscPattern(n, (self.E, self.A, self.N), keys)
-            self.slots, self.shape = self.pattern.slots(keys), (self.pattern.keys.size,)
-        else:
-            self.slots, self.shape = keys, (n, n)
+        self.pattern = FactorPattern(n, (self.E, self.A, self.N), keys)
+        self.slots, self.shape = self.pattern.slots(keys), self.pattern.shape
         self.size = int(np.prod(self.shape))
 
     def mass(self, v):
@@ -140,9 +129,8 @@ class _RunOperators:
     def quadratic_jacobian(self, x):
         """v -> 2 Q(x kron v) for symmetrized Q, in the form :meth:`solve` takes.
 
-        A dense n x n matrix; for a sparse Q on a narrow band, its band
-        storage, and on a wide one from the cut on, its CSC pattern data.
-        Every form's slots are column-major, hence the Fortran-order reshape.
+        A dense n x n matrix for a dense Q, else data of the run's pattern,
+        whose slots are column-major, hence the Fortran-order reshape.
         """
         if self.Q is not None:
             return 2.0 * (self.Qj @ x).reshape(self.n, self.n)
@@ -151,17 +139,14 @@ class _RunOperators:
 
     def on_pattern(self, M):
         """M (E, A, N or a sum of them) in the form of :meth:`quadratic_jacobian`."""
-        pattern = self.band if self.band is not None else self.pattern
-        return M if pattern is None else pattern.values(M)
+        return M if self.pattern is None else self.pattern.values(M)
 
     def solve(self, J, F):
-        """J^{-1} F, overwriting J on a band; raises SimulationError if J is exactly singular."""
+        """J^{-1} F, overwriting J on a pattern; raises SimulationError if J is exactly singular."""
         try:
-            if self.band is not None:
-                return self.band.factor(J).solve(F)
-            if self.sparse:
-                return self.pattern.splu(J).solve(F)
-            return np.linalg.solve(J, F)
+            if self.pattern is None:
+                return np.linalg.solve(J, F)
+            return self.pattern.factor(J).solve(F)
         except np.linalg.LinAlgError as exc:
             raise SimulationError(f"singular Newton Jacobian: {exc}") from exc
 
@@ -182,16 +167,9 @@ def simulate_qb(sys, u, t_end, dt, scheme="implicit_euler"):
     """
     if scheme not in ("implicit_euler", "rk4"):
         raise ValueError(f"unknown scheme {scheme!r}")
-    if not (np.isfinite(dt) and dt > 0):
-        raise ValueError(f"dt must be finite and positive, got {dt!r}")
-    if not (np.isfinite(t_end) and t_end >= 0):
-        raise ValueError(f"t_end must be finite and non-negative, got {t_end!r}")
-    if not np.isfinite(t_end / dt):
-        raise ValueError(f"t_end / dt overflows: t_end={t_end!r}, dt={dt!r}")
+    times = _time_grid(t_end, dt)
     x = np.array(sys.x0, dtype=float)
-    nsteps = int(round(t_end / dt))
-    times = np.arange(nsteps + 1) * dt
-    ys = np.empty(nsteps + 1)
+    ys = np.empty(times.size)
     ys[0] = sys.C @ x
     diverged = False
     ops = _RunOperators(sys)
@@ -205,7 +183,7 @@ def simulate_qb(sys, u, t_end, dt, scheme="implicit_euler"):
         ie = _ImplicitEuler(ops, dt)
         u_next = _input_values(u, times[1:])
 
-    for k in range(nsteps):
+    for k in range(times.size - 1):
         if scheme == "rk4":
             x = _rk4_step(f, x, dt, u1[k], u2[k], u4[k])
         else:
@@ -221,6 +199,17 @@ def simulate_qb(sys, u, t_end, dt, scheme="implicit_euler"):
     })
 
 
+def _time_grid(t_end, dt):
+    """The step times k dt, k = 0, ..., round(t_end / dt); ValueError for an invalid grid."""
+    if not (np.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be finite and positive, got {dt!r}")
+    if not (np.isfinite(t_end) and t_end >= 0):
+        raise ValueError(f"t_end must be finite and non-negative, got {t_end!r}")
+    if not np.isfinite(t_end / dt):
+        raise ValueError(f"t_end / dt overflows: t_end={t_end!r}, dt={dt!r}")
+    return np.arange(int(round(t_end / dt)) + 1) * dt
+
+
 def _input_values(u, t):
     """u at every time in the array t, from one call of u, as a list of floats."""
     return np.broadcast_to(np.asarray(u(t), dtype=float), t.shape).tolist()
@@ -231,7 +220,8 @@ def _rk4_field(ops, E):
 
     A diagonal E is applied as its diagonal, refused exactly where gecon's
     estimate would fall below RK4_E_RCOND; any other E (dense, as the
-    system holds it) is factored once and every stage solves with getrs.
+    system holds it) is factored once, as a copy, and every stage solves
+    with getrs.
     """
     d = ops.e
     if d is not None:
@@ -240,23 +230,15 @@ def _rk4_field(ops, E):
         if not (0 < hi < np.inf and lo >= RK4_E_RCOND * hi):
             raise SimulationError("rk4 requires invertible E")
         return lambda v, x: _qb_rhs(ops, x, v) / d
-    # lu_factor only warns on an exactly singular matrix; gecon's
-    # reciprocal condition estimate of the factors is 0 there, and NaN
-    # for a non-finite E
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", sla.LinAlgWarning)
-        lu, piv = sla.lu_factor(E, check_finite=False)
-    getrs, gecon = sla.get_lapack_funcs(("getrs", "gecon"), (lu,))
-    rcond, _ = gecon(lu, np.linalg.norm(E, 1), norm="1")
+    try:
+        lu = DenseLU(np.array(E, order="F"))
+        rcond = lu.rcond(np.linalg.norm(E, 1))
+    except np.linalg.LinAlgError:
+        rcond = 0.0
+    # NaN, for a non-finite E, fails the comparison too
     if not rcond >= RK4_E_RCOND:
         raise SimulationError("rk4 requires invertible E")
-
-    def f(v, x):
-        # the routine lu_solve calls, without its per-call wrapper and
-        # finite check; the divergence check catches non-finite states
-        return getrs(lu, piv, _qb_rhs(ops, x, v), overwrite_b=True)[0]
-
-    return f
+    return lambda v, x: lu.solve(_qb_rhs(ops, x, v))
 
 
 def _rk4_step(f, x, dt, a1, a2, a4):
@@ -293,13 +275,12 @@ class _ImplicitEuler:
 
 
 def integrate_rk4(f, x0, t_end, dt):
-    """Classic RK4 for x' = f(t, x); returns (times, states as rows)."""
-    nsteps = int(round(t_end / dt))
-    times = np.arange(nsteps + 1) * dt
-    xs = np.empty((nsteps + 1, len(x0)))
+    """Classic RK4 for x' = f(t, x) on simulate_qb's time grid; returns (times, states as rows)."""
+    times = _time_grid(t_end, dt)
+    xs = np.empty((times.size, len(x0)))
     x = np.array(x0, dtype=float)
     xs[0] = x
-    for k in range(nsteps):
+    for k in range(times.size - 1):
         t = times[k]
         x = _rk4_step(f, x, dt, t, t + dt / 2, t + dt)
         xs[k + 1] = x

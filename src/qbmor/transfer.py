@@ -19,13 +19,11 @@ dH2) factor sE - A in complex arithmetic whatever s, so a basis does not
 depend on which solves came first.  Below the sparse cut of
 ``qb_model.sparse_factors`` (the RC ladder, FitzHugh-Nagumo nbar < 43,
 every ROM) that is a dense LAPACK LU that ``PencilSolver`` caches per
-frequency.  Every other factorization serves one solve: a LAPACK band LU
-of the pencil in reverse Cuthill-McKee order (``qb_model.BandPattern``),
-or SuperLU's for a band wider than ``qb_model.BAND_MAX`` from the cut on
-(FitzHugh-Nagumo nbar >= 43).  So do point evaluations at any n: H2,
-used mostly to validate the error bound at pair sums that nothing else
-solves at, factors once without caching, in real arithmetic for real
-arguments.
+frequency.  Every other factorization serves one solve, on the pencil's
+``qb_model.FactorPattern``, by the rule stated at
+``qb_model.SPARSE_FACTOR_N``.  So do point evaluations at any n: H2, used
+mostly to validate the error bound at pair sums that nothing else solves
+at, factors once without caching, in real arithmetic for real arguments.
 
 sigma_min(sE - A), the denominator of the error bounds, is a dense
 ``svdvals`` below the cut and on wide bands (FitzHugh-Nagumo).  From the cut
@@ -39,14 +37,14 @@ lower bound keeps delta an upper bound of the true error.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .qb_model import BandPattern, CscPattern, QBSystem, apply_quadratic, sparse_factors
+from . import qb_model
+from .qb_model import DenseLU, FactorPattern, QBSystem, apply_quadratic, sparse_factors
 
 __all__ = [
     "PencilSolver",
@@ -83,7 +81,7 @@ def _norm2_bound(M):
 
 
 def _inv_norm1_estimate(lu, dtype):
-    """Hager-Higham estimate of ||G^{-1}||_1 from band or SuperLU factors of G.
+    """Hager-Higham estimate of ||G^{-1}||_1 from factors of G (``qb_model.FactorPattern.factor``).
 
     The iteration of LAPACK xLACN2, which gecon runs on LAPACK factors:
     every estimate is ||G^{-1} x||_1 for an x with ||x||_1 = 1, so it never
@@ -207,7 +205,7 @@ def _lambda_min_lower(M, order):
 class _Pencil:
     """Cached data of sE - A at one frequency, each item computed on first use."""
 
-    lu: tuple | None = None
+    lu: DenseLU | None = None
     sigma_min: float | None = None
     x1: np.ndarray | None = None
 
@@ -217,15 +215,13 @@ class PencilSolver:
 
     Entries are keyed by the exact complex value of s.  Below the cut of
     ``qb_model.sparse_factors`` (a sparse Q and n >= SPARSE_FACTOR_N), one
-    dense LAPACK LU per frequency serves x1-type solves and transposed
-    y1-type solves alike.  Every other factorization (:meth:`_factor`: the
-    solves from the cut on, and :meth:`solve_once`, for point evaluations,
-    at any n) is made for one solve and not kept: the factors of a build's
-    few hundred frequencies would set its memory peak.  It is a band LU on
-    the solver's one ``qb_model.BandPattern`` of E and A, except that from
-    the cut on a pencil whose band kl + ku is wider than
-    ``qb_model.BAND_MAX`` is factored by SuperLU on one CSC pattern of E and
-    A built here, whose data is rewritten for each s.  E, A and N are also
+    dense LAPACK LU per frequency (``qb_model.DenseLU``) serves x1-type
+    solves and transposed y1-type solves alike.  Every other factorization
+    (:meth:`_factor`: the solves from the cut on, and :meth:`solve_once`,
+    for point evaluations, at any n) is made for one solve and not kept: the
+    factors of a build's few hundred frequencies would set its memory peak.
+    It factors the solver's one ``qb_model.FactorPattern`` of E and A, by
+    the rule stated at ``qb_model.SPARSE_FACTOR_N``.  E, A and N are also
     held as CSR, for products with them.
 
     From the cut on, a pencil whose band is at most ``BAND_MAX`` wide has
@@ -237,12 +233,11 @@ class PencilSolver:
     A frequency where sE - A is numerically singular raises
     ``np.linalg.LinAlgError``: the factorization meets an exactly zero
     pivot, or the reciprocal condition estimate 1 / (||G||_1 est
-    ||G^{-1}||_1) of its factors is below machine epsilon (LAPACK gecon on
-    a dense LU and gbcon on a band LU below the cut, the Hager-Higham
-    estimate on band and SuperLU factors from it on), or sigma_min /
-    sigma_max is below n times it (on the band certificate's path: the
-    certified sigma_min is below n eps sqrt(||G||_1 ||G||_inf)).  Every
-    cached sigma_min is also an anchor of the Weyl bound in
+    ||G^{-1}||_1) of its factors is below machine epsilon (LAPACK gecon or
+    gbcon below n = SPARSE_FACTOR_N, the Hager-Higham estimate from it on),
+    or sigma_min / sigma_max is below n times it (on the band certificate's
+    path: the certified sigma_min is below n eps sqrt(||G||_1 ||G||_inf)).
+    Every cached sigma_min is also an anchor of the Weyl bound in
     :meth:`sigma_min_lower`.
 
     ``counts`` tallies factorizations, cached and one-shot, and sigma_min
@@ -258,54 +253,35 @@ class PencilSolver:
         # column of a block, which a dense GEMM and GEMV are not
         self.N = sp.csr_matrix(sys.N)
         self._sparse = sparse_factors(sys)
-        self._band = BandPattern(sys.n, (self.E, self.A))
-        narrow = self._band.narrow
-        self._order = self._band.order if self._sparse and narrow else None
-        self._pattern = None
-        if self._sparse and not narrow:
-            self._pattern = CscPattern(sys.n, (self.E, self.A))
-            self._Ep, self._Ap = self._pattern.values(self.E), self._pattern.values(self.A)
-        else:
-            self._Eb, self._Ab = self._band.values(self.E), self._band.values(self.A)
+        self._pattern = FactorPattern(sys.n, (self.E, self.A))
+        self._order = self._pattern.order if self._sparse and self._pattern.narrow else None
+        self._E, self._A = self._pattern.values(self.E), self._pattern.values(self.A)
         self.counts = {"factorizations": 0, "sigma_min_evals": 0}
         self._fov = None
 
     def _factor(self, z, cached=False):
         """Factors of zE - A, real for real z; LinAlgError where it is numerically singular.
 
-        With cached (below the sparse cut), a dense LAPACK LU, tested by
-        gecon.  Otherwise factors for one solve: a band LU
-        (``qb_model.BandLU``) of the pencil in reverse Cuthill-McKee order,
-        except for a wide band from the cut on, where a band LU costs O(n^3)
-        and SuperLU about O(nnz) on the CSC pattern (FitzHugh-Nagumo
-        nbar=300: 40 against 0.8 ms).  Their rcond test takes gbcon below the
-        cut and the Hager-Higham estimate from it on, as gbcon's scaled
-        triangular solves cost O(n^2) even on a 1/1 band (Burgers n=3000:
-        6 ms against a 0.3 ms gbtrf).
+        With cached (below the sparse cut), a dense LU of the dense pencil,
+        else the factors of the solver's pattern, for one solve.  Their
+        rcond test takes LAPACK's estimate below n = SPARSE_FACTOR_N and the
+        Hager-Higham estimate from it on, as gbcon's scaled triangular
+        solves cost O(n^2) even on a 1/1 band (Burgers n=3000: 6 ms against
+        a 0.3 ms gbtrf).
         """
         if cached:
-            G = z * self.sys.E - self.sys.A
-            # lu_factor only warns on an exactly singular G; gecon's rcond
-            # of its factors is 0 there, and the check below raises
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", sla.LinAlgWarning)
-                lu = sla.lu_factor(G)
-            gecon = sla.get_lapack_funcs("gecon", (lu[0],))
-            rcond, _ = gecon(lu[0], np.linalg.norm(G, 1), norm="1")
+            data = z * self.sys.E - self.sys.A
+            factor, norm = DenseLU, np.linalg.norm(data, 1)
         else:
-            if self._pattern is None:
-                data = z * self._Eb - self._Ab
-                norm, factor = np.abs(data).sum(axis=0).max(), self._band.factor
-            else:
-                data = z * self._Ep - self._Ap
-                norm, factor = self._pattern.norm1(data), self._pattern.splu
-            try:
-                lu = factor(data)
-            except np.linalg.LinAlgError as exc:
-                raise np.linalg.LinAlgError(
-                    f"pencil sE - A singular at s = {complex(z)} ({exc})") from exc
-            rcond = (1.0 / (norm * _inv_norm1_estimate(lu, data.dtype)) if self._sparse
-                     else lu.rcond(norm))
+            data = z * self._E - self._A
+            factor, norm = self._pattern.factor, self._pattern.norm1(data)
+        try:
+            lu = factor(data)
+        except np.linalg.LinAlgError as exc:
+            raise np.linalg.LinAlgError(
+                f"pencil sE - A singular at s = {complex(z)} ({exc})") from exc
+        rcond = (lu.rcond(norm) if self.sys.n < qb_model.SPARSE_FACTOR_N
+                 else 1.0 / (norm * _inv_norm1_estimate(lu, data.dtype)))
         self.counts["factorizations"] += 1
         if not rcond >= _EPS:
             raise np.linalg.LinAlgError(
@@ -344,7 +320,7 @@ class PencilSolver:
     def solve(self, s, b):
         """Solve (sE - A) x = b with the complex factors at s."""
         b = np.asarray(b, dtype=complex)
-        x = _lu_solve(self._lu(s), b)
+        x = self._lu(s).solve(b)
         self._check_residual(s, x, b)
         return x
 
@@ -367,7 +343,7 @@ class PencilSolver:
     def solve_t(self, s, b):
         """Solve (sE - A)^T x = b (plain transpose)."""
         b = np.asarray(b, dtype=complex)
-        x = _lu_solve(self._lu(s), b, trans=1)
+        x = self._lu(s).solve(b, "T")
         self._check_residual(s, x, b, trans=True)
         return x
 
@@ -524,13 +500,6 @@ class PencilSolver:
         if self._q2 is None:
             self._q2 = self.sys.mode2()
         return self._q2
-
-
-def _lu_solve(lu, b, trans=0):
-    """Solve with the factors of :meth:`PencilSolver._lu`; trans=1 solves with G^T."""
-    if isinstance(lu, tuple):
-        return sla.lu_solve(lu, b, trans=trans)
-    return lu.solve(b, trans="T" if trans else "N")
 
 
 def _solver(sys, solver):

@@ -166,7 +166,7 @@ def test_band_certificate_brackets_svdvals(name, monkeypatch):
     points = _grid_points()
     ref = _svdvals_min(sys, points)
     svdvals = _count_calls(monkeypatch, transfer.sla, "svdvals")
-    splu = _count_calls(monkeypatch, qb_model.CscPattern, "splu")
+    splu = _count_calls(monkeypatch, qb_model.spla, "splu")
     for order in _visiting_orders(points):
         solver = transfer.PencilSolver(sys)
         assert solver._order is not None
@@ -199,8 +199,8 @@ def test_wide_band_keeps_svdvals(monkeypatch):
     svdvals = _count_calls(monkeypatch, transfer.sla, "svdvals")
     eigvalsh = _count_calls(monkeypatch, transfer.sla, "eigvalsh")
     solver = transfer.PencilSolver(sys)
-    assert solver._pattern is not None and solver._order is None
-    band = qb_model.BandPattern(sys.n, (solver.E, solver.A))
+    assert solver._pattern.kind == "sparse" and solver._order is None
+    band = qb_model.FactorPattern(sys.n, (solver.E, solver.A))
     assert band.kl + band.ku > qb_model.BAND_MAX and not band.narrow
     sigma = solver.sigma_min(10.0)
     assert len(svdvals) == 1 and sigma == sla.svdvals(10.0 * sys.E - sys.A)[-1]

@@ -271,7 +271,7 @@ def test_solver_keeps_no_lu_at_validation_pair_sums(monkeypatch):
 def test_sparse_greedy_caches_no_factors(monkeypatch):
     res, solver = _burgers_200_greedy(monkeypatch)
     # from the sparse cut on, Burgers' 1/1 band is factored anew for every solve
-    assert res.converged and solver._sparse and solver._pattern is None
+    assert res.converged and solver._sparse and solver._pattern.kind == "band"
     assert solver._cache and all(entry.lu is None for entry in solver._cache.values())
 
 

@@ -1,9 +1,11 @@
 """Core data-type tests: matricizations, symmetrization, (de)serialization."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
@@ -11,10 +13,14 @@ from qbmor import (
     InputSignal,
     QBSystem,
     apply_quadratic,
+    benchmarks,
     load_system,
     mode2_matricization,
     save_system,
     symmetrize_quadratic,
+)
+from qbmor.qb_model import (
+    BAND_MAX, SPARSE_FACTOR_N, DenseLU, FactorPattern, quadratic_gather,
 )
 from conftest import random_qb
 
@@ -205,3 +211,65 @@ class TestSerialization:
         assert "q_symmetrized" not in data
         manifest.write_text(json.dumps({**data, "q_symmetrized": True}))
         assert np.array_equal(load_system(tmp_path / "sys").A, sys.A)
+
+
+def _pencil_pattern(sys):
+    return FactorPattern(sys.n, (sp.csr_matrix(sys.E), sp.csr_matrix(sys.A)))
+
+
+def _newton_pattern(sys):
+    """The pattern of sys's Newton Jacobians: E, A, N and Q's (i, k) entries."""
+    i, _, k, _ = quadratic_gather(sys.Q)
+    return FactorPattern(sys.n, (sp.csr_matrix(sys.E), sp.csr_matrix(sys.A),
+                                 sp.csr_matrix(sys.N)), k * sys.n + i)
+
+
+@pytest.mark.parametrize("make,below_cut,kind", [
+    (lambda: benchmarks.rc_ladder(50), True, "band"),
+    (lambda: benchmarks.burgers(300, 0.01), False, "band"),
+    (lambda: benchmarks.fitzhugh_nagumo(20), True, "dense"),
+    (lambda: benchmarks.fitzhugh_nagumo(43), False, "sparse"),
+], ids=["rc l=50", "burgers n=300", "fhn nbar=20", "fhn nbar=43"])
+@pytest.mark.parametrize("pattern_of", [_pencil_pattern, _newton_pattern],
+                         ids=["pencil", "newton"])
+def test_factor_pattern_kind_and_solves(make, below_cut, kind, pattern_of):
+    """Band LU on a narrow band at any n, else dense LU below SPARSE_FACTOR_N, SuperLU from it on.
+
+    Every kind's factors solve with M, M^T and M^H as a dense solve does,
+    and the kinds with a LAPACK condition estimate give gecon's on a dense LU.
+    """
+    sys = make()
+    n = sys.n
+    pattern = pattern_of(sys)
+    assert (n < SPARSE_FACTOR_N) == below_cut
+    assert pattern.narrow == (pattern.kl + pattern.ku <= BAND_MAX) == (kind == "band")
+    assert pattern.kind == kind
+    # a complex matrix on the pattern, diagonally dominant (E = I puts the diagonal on it)
+    rng = np.random.default_rng(n)
+    keys = pattern.keys
+    M = sp.csc_matrix((rng.standard_normal(keys.size) + 1j * rng.standard_normal(keys.size),
+                       (keys % n, keys // n)), shape=(n, n))
+    M = M + sp.diags(abs(M).sum(axis=0).A1 + 1.0)
+    dense = M.toarray()
+    data = pattern.values(M)
+    assert data.shape == pattern.shape
+    norm = pattern.norm1(data)
+    assert np.isclose(norm, np.linalg.norm(dense, 1), rtol=1e-15, atol=0)
+    lu = pattern.factor(data)
+    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    for trans, G in (("N", dense), ("T", dense.T), ("H", dense.conj().T)):
+        want = np.linalg.solve(G, b)
+        got = lu.solve(b, trans)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), trans
+    if kind != "sparse":
+        # LAPACK gecon on scipy's dense LU of the same matrix
+        ref = sla.lu_factor(dense)
+        want = sla.get_lapack_funcs("gecon", (ref[0],))(ref[0], np.linalg.norm(dense, 1))[0]
+        assert np.isclose(lu.rcond(norm), want, rtol=1e-12, atol=0)
+
+
+def test_dense_lu_raises_on_zero_pivot_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(np.linalg.LinAlgError, match="zero pivot"):
+            DenseLU(np.array([[1.0, 2.0], [2.0, 4.0]]))

@@ -8,7 +8,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from qbmor import InputSignal, QBSystem, benchmarks, projection, qb_model, sim
-from qbmor.qb_model import SPARSE_FACTOR_N, BandPattern, apply_quadratic
+from qbmor.qb_model import SPARSE_FACTOR_N, FactorPattern, apply_quadratic
 from qbmor.sim import (
     NEWTON_MAX_STEPS,
     NEWTON_TOL,
@@ -141,7 +141,7 @@ class TestQuadraticJacobian:
         n = sys.n
         x = np.random.default_rng(n).standard_normal(n)
         ops = _RunOperators(sys)
-        assert ops.Q is None and not ops.sparse and ops.band is None
+        assert ops.Q is None and not ops.sparse and ops.pattern.kind == "dense"
         J = ops.quadratic_jacobian(x)
         np.testing.assert_allclose(J, _dense_jacobian_oracle(sys, x), rtol=1e-12, atol=0)
         assert np.array_equal(J, _scatter_jacobian(sys.Q, x))
@@ -153,8 +153,8 @@ class TestQuadraticJacobian:
         n = sys.n
         x = np.random.default_rng(n).standard_normal(n)
         ops = _RunOperators(sys)
-        assert ops.Q is None and not ops.sparse and ops.band is not None
-        J = _band_to_dense(ops.band, ops.quadratic_jacobian(x))
+        assert ops.Q is None and not ops.sparse and ops.pattern.kind == "band"
+        J = _band_to_dense(ops.pattern, ops.quadratic_jacobian(x))
         np.testing.assert_allclose(J, _dense_jacobian_oracle(sys, x), rtol=1e-12, atol=0)
         assert np.array_equal(J, _scatter_jacobian(sys.Q, x))
 
@@ -165,7 +165,7 @@ class TestQuadraticJacobian:
         monkeypatch.setattr(qb_model, "BAND_MAX", -1)
         x = np.random.default_rng(sys.n).standard_normal(sys.n)
         ops = _RunOperators(sys)
-        assert ops.sparse and ops.band is None
+        assert ops.sparse and ops.pattern.kind == "sparse"
         J = ops.pattern.matrix.copy()
         J.data[:] = ops.quadratic_jacobian(x)
         assert np.array_equal(J.toarray(), _scatter_jacobian(sys.Q, x))
@@ -198,7 +198,7 @@ def _projected_rom(full, r=5, seed=4):
 
 
 def _csr_reference(sys, u, t_end, dt, scheme):
-    """Outputs of a step loop on the CSR Q, with lu_solve and the scatter Jacobian."""
+    """Outputs of a step loop on the CSR Q, with lu_factor, lu_solve and the scatter Jacobian."""
     def rhs(x, v):
         return sys.A @ x + (sys.N @ x) * v + apply_quadratic(sys.Q, x, x) + sys.B * v
 
@@ -218,7 +218,7 @@ def _csr_reference(sys, u, t_end, dt, scheme):
             if np.linalg.norm(F) <= NEWTON_TOL * scale:
                 break
             J = sys.E / dt - sys.A - sys.N * v - _scatter_jacobian(sys.Q, x_new)
-            x_new = x_new - np.linalg.solve(J, F)
+            x_new = x_new - sla.lu_solve(sla.lu_factor(J), F)
         x = x_new
         ys.append(sys.C @ x)
     return np.array(ys)
@@ -269,7 +269,7 @@ def _singular_newton_system(n, wide):
 
 
 def _newton_path(ops):
-    return "band" if ops.band is not None else "sparse" if ops.sparse else "dense"
+    return "dense" if ops.pattern is None else ops.pattern.kind
 
 
 def _ring_coupled_system(n=24):
@@ -285,7 +285,7 @@ def _ring_coupled_system(n=24):
 
 class TestSparseNewton:
     """Full models: a gathered Q at every size; Newton by band LU on a narrow band,
-    else dense below SPARSE_FACTOR_N and SuperLU from it on."""
+    else dense LU below SPARSE_FACTOR_N and SuperLU from it on."""
 
     @pytest.mark.parametrize("sys", [
         pytest.param(benchmarks.rc_ladder(50), id="rc l=50"),
@@ -311,7 +311,7 @@ class TestSparseNewton:
         ops = _RunOperators(sys)
         assert ops.sparse == sparse and _newton_path(ops) == path
         assert all(sp.issparse(M) == sparse for M in (ops.E, ops.A, ops.N))
-        calls = {"splu": 0, "solve": 0, "gbtrf": 0}
+        calls = {"splu": 0, "solve": 0, "getrf": 0, "gbtrf": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -321,11 +321,12 @@ class TestSparseNewton:
 
         monkeypatch.setattr(qb_model.spla, "splu", counted("splu", qb_model.spla.splu))
         monkeypatch.setattr(sim.np.linalg, "solve", counted("solve", sim.np.linalg.solve))
-        monkeypatch.setattr(qb_model.BandPattern, "factor",
-                            counted("gbtrf", qb_model.BandPattern.factor))
+        monkeypatch.setattr(qb_model.DenseLU, "__init__",
+                            counted("getrf", qb_model.DenseLU.__init__))
+        monkeypatch.setattr(qb_model.BandLU, "__init__", counted("gbtrf", qb_model.BandLU.__init__))
         simulate_qb(sys, InputSignal("exp_decay"), 0.05, 1e-2)
         assert [name for name, count in calls.items() if count] == [
-            {"sparse": "splu", "dense": "solve", "band": "gbtrf"}[path]]
+            {"sparse": "splu", "dense": "getrf", "band": "gbtrf"}[path]]
 
     @pytest.mark.parametrize("sys,u", [
         pytest.param(benchmarks.burgers(300, 0.01), InputSignal("cosine_pi"), id="burgers n=300"),
@@ -352,12 +353,12 @@ class TestSparseNewton:
         sys = _ring_coupled_system()
         n = sys.n
         ops = _RunOperators(sys)
-        band = ops.band
-        assert band is not None and not ops.sparse
+        band = ops.pattern
+        assert band.kind == "band" and not ops.sparse
         # Q's entry (0, n-1) is inside the band; E and A's pattern alone has
         # a 1/1 band that leaves it out
         assert -band.ku <= band.order[0] - band.order[n - 1] <= band.kl
-        tridiagonal = BandPattern(n, (sys.E, sys.A))
+        tridiagonal = FactorPattern(n, (sys.E, sys.A))
         assert (tridiagonal.kl, tridiagonal.ku) == (1, 1)
         assert abs(tridiagonal.order[0] - tridiagonal.order[n - 1]) > 1
         u = InputSignal("exp_decay")
@@ -484,10 +485,10 @@ class TestDiagonalMass:
 
         def spy(*args, **kwargs):
             calls.append(args)
-            return lu_factor(*args, **kwargs)
+            return dense_lu(*args, **kwargs)
 
-        lu_factor = sla.lu_factor
-        monkeypatch.setattr(sim.sla, "lu_factor", spy)
+        dense_lu = sim.DenseLU  # the one LU of a non-diagonal E
+        monkeypatch.setattr(sim, "DenseLU", spy)
         simulate_qb(sys, InputSignal("exp_decay"), *_GRIDS["rk4"], scheme="rk4")
         assert calls == []
         # a projected ROM's E is not diagonal, so it is factored once per run
@@ -572,6 +573,8 @@ class TestErrorHandling:
     def test_invalid_time_grid(self, t_end, dt):
         with pytest.raises(ValueError, match="dt must be|t_end must be|overflows"):
             simulate_qb(scalar_qb(), InputSignal("zero"), t_end, dt)
+        with pytest.raises(ValueError, match="dt must be|t_end must be|overflows"):
+            integrate_rk4(lambda t, x: -x, np.array([1.0]), t_end, dt)
 
     def test_zero_horizon_gives_initial_output(self):
         traj = simulate_qb(scalar_qb(x0=0.5), InputSignal("zero"), 0.0, 1e-3)

@@ -166,7 +166,7 @@ class TestPencilSolver:
         solver = transfer.PencilSolver(sys)
         s = 1.5 + 0.5j
         getattr(solver, solve)(s, sys.B)
-        solver._lu(s)[0][0, 0] *= 2.0
+        solver._lu(s).lu[0, 0] *= 2.0
         if __debug__:
             with pytest.raises(AssertionError, match="lost accuracy"):
                 getattr(solver, solve)(s, sys.B)
@@ -247,12 +247,12 @@ class TestSparsePencil:
 
     def test_sparse_and_dense_paths_agree(self, monkeypatch):
         sparse = _assert_paths_agree(benchmarks.burgers(200, 0.01), monkeypatch)
-        assert sparse._pattern is None and sparse._order is not None
+        assert sparse._pattern.kind == "band" and sparse._order is not None
 
     def test_superlu_and_dense_paths_agree(self, monkeypatch):
         """A band wider than BAND_MAX from the cut on (FitzHugh-Nagumo nbar=43) keeps SuperLU."""
         sparse = _assert_paths_agree(benchmarks.fitzhugh_nagumo(43), monkeypatch)
-        assert sparse._pattern is not None and sparse._order is None
+        assert sparse._pattern.kind == "sparse" and sparse._order is None
 
     def test_numerically_singular_pencil_raises(self):
         # lifted RC ladder: A has rank l of 2 l, so sE - A is singular at s = 0;
@@ -280,7 +280,7 @@ class TestSparsePencil:
         # sE - A is the zero matrix, or with wide the all-ones matrix, at s = 2
         sys = _singular_pencil_system(n, wide)
         solver = transfer.PencilSolver(sys)
-        assert (solver._pattern is not None) == (path == "sparse")
+        assert solver._pattern.kind == path
         assert solver._sparse == (n >= SPARSE_FACTOR_N)
         calls = _count_factorizations(monkeypatch)
         with pytest.raises(np.linalg.LinAlgError, match="singular"):
@@ -296,14 +296,10 @@ class TestSparsePencil:
         for sys, z0 in ((benchmarks.burgers(200, 0.01), 0.0),
                         (benchmarks.fitzhugh_nagumo(43), 10.0)):
             solver = transfer.PencilSolver(sys)
-            assert (solver._pattern is None) == (sys.n == 200)
+            assert (solver._pattern.kind == "band") == (sys.n == 200)
             for z in (z0, 5.4124, 1e4, 3.0 + 40.0j):
-                if solver._pattern is None:
-                    data = z * solver._Eb - solver._Ab
-                    lu = solver._band.factor(data.copy(order="F"))
-                else:
-                    data = z * solver._Ep - solver._Ap
-                    lu = solver._pattern.splu(data)
+                data = z * solver._E - solver._A
+                lu = solver._pattern.factor(data.copy())
                 exact = np.linalg.norm(np.linalg.inv(z * sys.E - sys.A), 1)
                 est = transfer._inv_norm1_estimate(lu, data.dtype)
                 assert 0.3 * exact <= est <= exact * (1 + 1e-12)
@@ -330,10 +326,9 @@ def _count_factorizations(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(transfer.sla, "lu_factor", counted("dense", transfer.sla.lu_factor))
-    monkeypatch.setattr(qb_model.BandPattern, "factor",
-                        counted("band", qb_model.BandPattern.factor))
-    monkeypatch.setattr(qb_model.CscPattern, "splu", counted("sparse", qb_model.CscPattern.splu))
+    monkeypatch.setattr(qb_model.DenseLU, "__init__", counted("dense", qb_model.DenseLU.__init__))
+    monkeypatch.setattr(qb_model.BandLU, "__init__", counted("band", qb_model.BandLU.__init__))
+    monkeypatch.setattr(qb_model.spla, "splu", counted("sparse", qb_model.spla.splu))
     return calls
 
 
@@ -345,7 +340,7 @@ def _paths(calls):
 
 
 class TestBandPencil:
-    """Uncached factorizations: a band LU of the RCM-ordered pencil, SuperLU for a wide one from the cut on."""
+    """Uncached factorizations: a band LU of the RCM-ordered pencil, else dense LU or SuperLU."""
 
     @pytest.mark.parametrize("name", sorted(_BAND_SYSTEMS))
     def test_solve_once_matches_solve(self, name):
@@ -357,8 +352,8 @@ class TestBandPencil:
             want = solver.solve(s, b)
             got = solver.solve_once(s, b)
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), s
-        assert (solver._pattern is not None) == (qb_model.sparse_factors(sys)
-                                                 and not solver._band.narrow)
+        assert (solver._pattern.kind == "sparse") == (qb_model.sparse_factors(sys)
+                                                      and not solver._pattern.narrow)
 
     @pytest.mark.parametrize("make, bandwidths", [
         (lambda: benchmarks.rc_ladder(50), (3, 3)),
@@ -367,17 +362,19 @@ class TestBandPencil:
     ], ids=["rc l=50", "burgers n=300", "fhn nbar=20"])
     def test_rcm_bandwidths(self, make, bandwidths):
         solver = transfer.PencilSolver(make())
-        band = solver._band
+        band = solver._pattern
         assert (band.kl, band.ku) == bandwidths
         # the order of the joint pattern of E and A alone
         pattern = (abs(solver.E) + abs(solver.A)).tocsr()
         assert np.array_equal(band.perm, reverse_cuthill_mckee(pattern, symmetric_mode=False))
-        assert solver._Eb.shape == solver._Ab.shape == (2 * band.kl + band.ku + 1, solver.sys.n)
+        # band storage on a narrow band; FitzHugh-Nagumo's wide one is held dense below the cut
+        assert solver._E.shape == solver._A.shape == band.shape == (
+            (2 * band.kl + band.ku + 1, solver.sys.n) if band.narrow else (solver.sys.n,) * 2)
 
     @pytest.mark.parametrize("make, cached, once", [
         (lambda: benchmarks.rc_ladder(50), "dense", "band"),
         (lambda: benchmarks.burgers(300, 0.01), "band", "band"),
-        (lambda: benchmarks.fitzhugh_nagumo(20), "dense", "band"),
+        (lambda: benchmarks.fitzhugh_nagumo(20), "dense", "dense"),
         (lambda: benchmarks.fitzhugh_nagumo(43), "sparse", "sparse"),
     ], ids=["rc l=50", "burgers n=300", "fhn nbar=20", "fhn nbar=43"])
     def test_path_selection(self, make, cached, once, monkeypatch):
@@ -397,7 +394,7 @@ class TestBandPencil:
     def test_band_solve_t_matches_dense(self, monkeypatch):
         sys = benchmarks.burgers(300, 0.01)
         band = transfer.PencilSolver(sys)
-        assert band._sparse and band._pattern is None
+        assert band._sparse and band._pattern.kind == "band"
         monkeypatch.setattr(qb_model, "SPARSE_FACTOR_N", np.inf)
         dense = transfer.PencilSolver(sys)
         g = np.random.default_rng(3)
