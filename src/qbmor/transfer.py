@@ -87,7 +87,9 @@ def _inv_norm1_estimate(lu, dtype):
     every estimate is ||G^{-1} x||_1 for an x with ||x||_1 = 1, so it never
     exceeds ||G^{-1}||_1.  It takes two solves with the factors per
     iteration, at most five iterations, plus one solve each for the start
-    and the alternating test vector (six in all on a typical Burgers pencil).
+    and the alternating test vector (six in all on a typical Burgers pencil,
+    more than the factorization and its solve cost together; ``PencilSolver``
+    runs it only where the field-of-values bound does not settle the test).
     """
     n = lu.shape[0]
     y = lu.solve(np.full(n, 1.0 / n, dtype))
@@ -237,6 +239,10 @@ class PencilSolver:
     gbcon below n = SPARSE_FACTOR_N, the Hager-Higham estimate from it on),
     or sigma_min / sigma_max is below n times it (on the band certificate's
     path: the certified sigma_min is below n eps sqrt(||G||_1 ||G||_inf)).
+    Once :meth:`sigma_min_lower` has computed its field-of-values data, a
+    pencil whose field-of-values bound proves rcond_1 >= eps skips the
+    estimate (:meth:`_factor`); on Burgers that is every pencil with
+    Re s >= 0.
     Every cached sigma_min is also an anchor of the Weyl bound in
     :meth:`sigma_min_lower`.
 
@@ -267,7 +273,11 @@ class PencilSolver:
         rcond test takes LAPACK's estimate below n = SPARSE_FACTOR_N and the
         Hager-Higham estimate from it on, as gbcon's scaled triangular
         solves cost O(n^2) even on a 1/1 band (Burgers n=3000: 6 ms against
-        a 0.3 ms gbtrf).
+        a 0.3 ms gbtrf).  Once :meth:`sigma_min_lower` has computed the
+        field-of-values data (never here), the test is skipped where
+        :meth:`_fov_bound` >= n eps (|z| ||E|| + ||A||) >= n eps sigma_max:
+        then kappa_1 <= n kappa_2 <= 1 / eps, and as neither estimate
+        exceeds ||G^{-1}||_1, both would pass the pencil.
         """
         if cached:
             data = z * self.sys.E - self.sys.A
@@ -280,9 +290,11 @@ class PencilSolver:
         except np.linalg.LinAlgError as exc:
             raise np.linalg.LinAlgError(
                 f"pencil sE - A singular at s = {complex(z)} ({exc})") from exc
+        self.counts["factorizations"] += 1
+        if self._fov is not None and self._fov_bound(z) >= self._margin_unit(z):
+            return lu
         rcond = (lu.rcond(norm) if self.sys.n < qb_model.SPARSE_FACTOR_N
                  else 1.0 / (norm * _inv_norm1_estimate(lu, data.dtype)))
-        self.counts["factorizations"] += 1
         if not rcond >= _EPS:
             raise np.linalg.LinAlgError(
                 f"pencil sE - A singular at s = {complex(z)} (rcond {rcond:.1e})")
@@ -451,6 +463,22 @@ class PencilSolver:
                          _norm2_bound(E), _norm2_bound(A))
         return self._fov
 
+    def _margin_unit(self, w):
+        """n eps (|w| ||E|| + ||A||) >= n eps sigma_max(wE - A), 1/64 of the bounds' margin."""
+        *_, eta_E, eta_A = self._fov
+        return self.sys.n * _EPS * (np.abs(w) * eta_E + eta_A)
+
+    def _fov_bound(self, z):
+        """The field-of-values bound of :meth:`sigma_min_lower` at z, less its margin.
+
+        z is a scalar or an array.  It reads the data of
+        :meth:`_field_of_values` and does not compute them.
+        """
+        lam_E_min, lam_E_max, norm_Ek, lam_A_max, _, _ = self._fov
+        x = z.real
+        return (np.where(x >= 0, x * lam_E_min, x * lam_E_max)
+                - np.abs(z.imag) * norm_Ek - lam_A_max - _LOWER_MARGIN * self._margin_unit(z))
+
     def sigma_min_lower(self, s):
         """Certified lower bound beta_lb(s) <= sigma_min(sE - A), for a scalar or 1-D array s.
 
@@ -472,23 +500,22 @@ class PencilSolver:
         the bounds themselves; the Weyl bound also subtracts the margin at t.
         On the band path of :meth:`sigma_min` the anchors and the
         field-of-values data are certified bounds themselves, so there the
-        margin only adds slack.
+        margin only adds slack.  The field-of-values bound is
+        :meth:`_fov_bound`, which :meth:`_factor` shares once the data are
+        computed here.
         """
         z = np.atleast_1d(np.asarray(s, dtype=complex))
-        lam_E_min, lam_E_max, norm_Ek, lam_A_max, eta_E, eta_A = self._field_of_values()
+        eta_E = self._field_of_values()[4]
 
         def margin(w):
-            return _LOWER_MARGIN * self.sys.n * _EPS * (np.abs(w) * eta_E + eta_A)
+            return _LOWER_MARGIN * self._margin_unit(w)
 
-        x = z.real
-        lb = (np.where(x >= 0, x * lam_E_min, x * lam_E_max)
-              - np.abs(z.imag) * norm_Ek - lam_A_max)
+        lb = self._fov_bound(z)
         anchors = [(t, e.sigma_min) for t, e in self._cache.items() if e.sigma_min is not None]
         if anchors:
             t, sigma = (np.array(v) for v in zip(*anchors))
-            weyl = (sigma - margin(t) - np.abs(z[:, None] - t) * eta_E).max(axis=1)
+            weyl = (sigma - margin(t) - np.abs(z[:, None] - t) * eta_E).max(axis=1) - margin(z)
             lb = np.maximum(lb, weyl)
-        lb = lb - margin(z)
         for i, zi in enumerate(z):
             exact = self.cached_sigma_min(zi)
             if exact is not None:

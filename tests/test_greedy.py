@@ -288,6 +288,61 @@ def test_sparse_and_dense_greedy_select_the_same_pairs(monkeypatch):
                                [r.delta for r in dense.trace], rtol=1e-6)
 
 
+def _burgers_build_events(monkeypatch, skip):
+    """The validated reference-pair greedy on Burgers n=200, and its estimates and scans in order.
+
+    Without skip, PencilSolver._factor sees no field-of-values data, as
+    before the first scan, and so runs the condition estimate every time.
+    """
+    events = []
+    estimate, lower, factor = (transfer._inv_norm1_estimate, transfer.PencilSolver.sigma_min_lower,
+                               transfer.PencilSolver._factor)
+
+    def recording_estimate(lu, dtype):
+        events.append("estimate")
+        return estimate(lu, dtype)
+
+    def recording_lower(self, s):
+        events.append("scan")
+        return lower(self, s)
+
+    def unskipped_factor(self, z, cached=False):
+        fov, self._fov = self._fov, None
+        try:
+            return factor(self, z, cached)
+        finally:
+            self._fov = fov
+
+    monkeypatch.setattr(transfer, "_inv_norm1_estimate", recording_estimate)
+    monkeypatch.setattr(transfer.PencilSolver, "sigma_min_lower", recording_lower)
+    if not skip:
+        monkeypatch.setattr(transfer.PencilSolver, "_factor", unskipped_factor)
+    cfg = GreedyConfig(sigma10=5.4124, sigma20=5.4124, S1=default_grid(), S2=default_grid(),
+                       eps_tol=1e-4, max_iters=10, validate_true_error=True)
+    res = run_greedy(benchmarks.burgers(200, 0.01), cfg)
+    monkeypatch.undo()
+    return res, events
+
+
+def test_rcond_skip_changes_no_result(monkeypatch):
+    """Skipping the condition estimate where the field of values clears the pencil keeps the build.
+
+    The pairs, the bases, the bits of every delta and the validation
+    records are those of the build that estimates at every factorization;
+    with the skip, the Hager-Higham estimate runs only before the first scan.
+    """
+    res, events = _burgers_build_events(monkeypatch, skip=True)
+    ref, ref_events = _burgers_build_events(monkeypatch, skip=False)
+    assert res.converged and res.pairs == ref.pairs
+    assert res.V.tobytes() == ref.V.tobytes() and res.W.tobytes() == ref.W.tobytes()
+    assert ([(r.delta1_max, r.delta2_max, r.delta) for r in res.trace]
+            == [(r.delta1_max, r.delta2_max, r.delta) for r in ref.trace])
+    assert res.validation and res.validation == ref.validation
+    first_scan = events.index("scan")
+    assert "estimate" in events[:first_scan] and "estimate" not in events[first_scan:]
+    assert ref_events.count("estimate") > events.count("estimate")
+
+
 def test_trace_counts_solver_work(rng, monkeypatch):
     """sigma_min is evaluated only at the points the lazy scan cannot rule out."""
     sys_ = random_qb(15, rng)

@@ -12,7 +12,9 @@ from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from qbmor import QBSystem, benchmarks, qb_model, transfer
 from qbmor.qb_model import SPARSE_FACTOR_N, apply_quadratic
+from qbmor.greedy import default_grid
 from conftest import descriptor_qb, random_qb, scalar_qb
+from test_error_bound import _GRID_SYSTEMS, _grid_points
 
 
 # H2 of the lifted RC ladder at pairs summing to 0, where sE - A is singular,
@@ -124,15 +126,16 @@ class TestPencilSolver:
 
     def test_singular_pencil_raises(self):
         # the lifted RC ladder has a rank-deficient A: sE - A is singular at
-        # s = 0, yet LU finds no exactly zero pivot there
+        # s = 0, yet LU finds no exactly zero pivot there; with or without the
+        # field-of-values data, which cannot clear it
         sys = benchmarks.rc_ladder(5)
-        solver = transfer.PencilSolver(sys)
-        with pytest.raises(np.linalg.LinAlgError, match="singular"):
-            transfer.solve_x1(sys, 0.0, solver)
-        with pytest.raises(np.linalg.LinAlgError, match="singular"):
-            solver.sigma_min(0.0)
-        assert not solver._cache
-        transfer.solve_x1(sys, 1.0, solver)
+        for solver in _solvers(sys, 0.0):
+            with pytest.raises(np.linalg.LinAlgError, match="singular"):
+                transfer.solve_x1(sys, 0.0, solver)
+            with pytest.raises(np.linalg.LinAlgError, match="singular"):
+                solver.sigma_min(0.0)
+            assert not solver._cache
+            transfer.solve_x1(sys, 1.0, solver)
 
     def test_h2_factors_once_and_caches_nothing(self, rng):
         sys = random_qb(7, rng, with_mass=True)
@@ -261,15 +264,15 @@ class TestSparsePencil:
         for ell in (50, 64):
             sys = benchmarks.rc_ladder(ell)
             assert qb_model.sparse_factors(sys) == (sys.n >= SPARSE_FACTOR_N)
-            solver = transfer.PencilSolver(sys)
-            for solve in (lambda: transfer.solve_x1(sys, 0.0, solver),
-                          lambda: transfer.solve_y1(sys, 0.0, solver),
-                          lambda: solver.solve_once(0.0, sys.B),
-                          lambda: solver.solve_once(0.0, (1.0 + 1.0j) * sys.B)):
-                with pytest.raises(np.linalg.LinAlgError, match="singular"):
-                    solve()
-            assert not solver._cache
-            transfer.solve_x1(sys, 1.0, solver)
+            for solver in _solvers(sys, 0.0):
+                for solve in (lambda: transfer.solve_x1(sys, 0.0, solver),
+                              lambda: transfer.solve_y1(sys, 0.0, solver),
+                              lambda: solver.solve_once(0.0, sys.B),
+                              lambda: solver.solve_once(0.0, (1.0 + 1.0j) * sys.B)):
+                    with pytest.raises(np.linalg.LinAlgError, match="singular"):
+                        solve()
+                assert not solver._cache
+                transfer.solve_x1(sys, 1.0, solver)
 
     @pytest.mark.parametrize("n,wide,path", [
         (SPARSE_FACTOR_N - 1, True, "dense"),
@@ -279,16 +282,16 @@ class TestSparsePencil:
     def test_exactly_singular_pencil_raises(self, n, wide, path, monkeypatch):
         # sE - A is the zero matrix, or with wide the all-ones matrix, at s = 2
         sys = _singular_pencil_system(n, wide)
-        solver = transfer.PencilSolver(sys)
-        assert solver._pattern.kind == path
-        assert solver._sparse == (n >= SPARSE_FACTOR_N)
         calls = _count_factorizations(monkeypatch)
-        with pytest.raises(np.linalg.LinAlgError, match="singular"):
-            transfer.solve_x1(sys, 2.0, solver)
-        assert _paths(calls) == {path}
-        with pytest.raises(np.linalg.LinAlgError, match="singular"):
-            solver.solve_once(2.0, sys.B)
-        assert not solver._cache
+        for solver in _solvers(sys, 2.0):
+            assert solver._pattern.kind == path
+            assert solver._sparse == (n >= SPARSE_FACTOR_N)
+            with pytest.raises(np.linalg.LinAlgError, match="singular"):
+                transfer.solve_x1(sys, 2.0, solver)
+            assert _paths(calls) == {path}
+            with pytest.raises(np.linalg.LinAlgError, match="singular"):
+                solver.solve_once(2.0, sys.B)
+            assert not solver._cache
 
     def test_inverse_norm_estimate_is_a_lower_bound(self):
         # on band factors (Burgers) and SuperLU's (FitzHugh-Nagumo nbar=43,
@@ -314,6 +317,80 @@ _BAND_SYSTEMS = {
     "random dense n=9": lambda: random_qb(9, np.random.default_rng(5), with_mass=True),
     "descriptor": descriptor_qb,
 }
+
+
+def _estimates(monkeypatch):
+    """Record the condition estimates that factorizations run: gecon, gbcon and Hager-Higham."""
+    calls = []
+
+    def recorded(fn):
+        def wrapper(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(qb_model.DenseLU, "rcond", recorded(qb_model.DenseLU.rcond))
+    monkeypatch.setattr(qb_model.BandLU, "rcond", recorded(qb_model.BandLU.rcond))
+    monkeypatch.setattr(transfer, "_inv_norm1_estimate", recorded(transfer._inv_norm1_estimate))
+    return calls
+
+
+def _factors(solver, z, cached=False, fov=True):
+    """True if solver._factor accepts zE - A; without fov, as before the first scan."""
+    saved = solver._fov
+    if not fov:
+        solver._fov = None
+    try:
+        solver._factor(z, cached)
+        return True
+    except np.linalg.LinAlgError as exc:
+        assert "singular" in str(exc)
+        return False
+    finally:
+        solver._fov = saved
+
+
+def _with_field_of_values(solver):
+    """The solver after a scan's sigma_min_lower, which computes its field-of-values data."""
+    solver.sigma_min_lower(1.0)
+    assert solver._fov is not None
+    return solver
+
+
+def _solvers(sys, singular):
+    """A fresh solver, and one whose field-of-values data do not clear the singular point."""
+    solver = _with_field_of_values(transfer.PencilSolver(sys))
+    assert not solver._fov_bound(singular) >= solver._margin_unit(singular)
+    return transfer.PencilSolver(sys), solver
+
+
+@pytest.mark.parametrize("name", sorted(_GRID_SYSTEMS) + ["descriptor", "burgers n=200"])
+def test_field_of_values_skip_is_sound(name, monkeypatch):
+    """A pencil whose condition estimate the field-of-values bound skips passes the estimate.
+
+    At the greedy's grid, on the imaginary axis, at pair sums, at 0 and on
+    negative reals; in complex and, for real z, real arithmetic; below the
+    sparse cut for the cached and the one-shot factors.  Without the data
+    (before a scan) the estimate always runs.
+    """
+    sys = {"descriptor": descriptor_qb, "burgers n=200": _BAND_SYSTEMS["burgers n=200"],
+           **_GRID_SYSTEMS}[name]()
+    points = np.concatenate([_grid_points(), [0.0, -1.0, -50.0], -0.5 * default_grid()[::7]])
+    solver = transfer.PencilSolver(sys)
+    estimates = _estimates(monkeypatch)
+    assert _factors(solver, 5.4124) and estimates
+    _with_field_of_values(solver)
+    cleared = 0
+    for s in map(complex, points):
+        cases = ([(s, False)] + [(s.real, False)] * (s.imag == 0)
+                 + [(s, True)] * (not solver._sparse))
+        for z, cached in cases:
+            estimates.clear()
+            accepted = _factors(solver, z, cached)
+            if accepted and not estimates:
+                cleared += 1
+                assert _factors(solver, z, cached, fov=False) and estimates, (name, z, cached)
+    assert cleared > 0
 
 
 def _count_factorizations(monkeypatch):
