@@ -62,11 +62,12 @@ def irka_linear(sys, cfg):
     points = np.logspace(-1, 3, cfg.r).astype(complex)
     solver = transfer.PencilSolver(sys)
     converged = False
+    empty = np.zeros((sys.n, 0))
     for _ in range(cfg.max_iters):
-        V = W = np.zeros((sys.n, 0))
-        for s in points:
-            V, _ = projection.orth_extend(V, transfer.solve_x1(sys, s, solver))
-            W, _ = projection.orth_extend(W, transfer.solve_y1(sys, s, solver))
+        V, _ = projection.orth_extend(
+            empty, np.column_stack([transfer.solve_x1(sys, s, solver) for s in points]))
+        W, _ = projection.orth_extend(
+            empty, np.column_stack([transfer.solve_y1(sys, s, solver) for s in points]))
         Er, Ar, _, _ = projection.project_linear(sys, *projection.square_bases(V, W))
         lam = sla.eigvals(Ar, Er)
         lam = lam[np.isfinite(lam)]
@@ -92,18 +93,13 @@ def irka_rom(sys, points, two_sided=True):
     one-sided projection uses W := V.
     """
     solver = transfer.PencilSolver(sys)
-    V = W = np.zeros((sys.n, 0))
-    for s in points:
-        vs = np.column_stack([
-            transfer.solve_x1(sys, s, solver),
-            transfer.solve_x2(sys, s, s, solver),
-        ])
-        ws = np.column_stack([
-            transfer.solve_y1(sys, 2 * s, solver),
-            transfer.solve_y2(sys, s, s, solver),
-        ])
-        V, _ = projection.orth_extend(V, vs)
-        W, _ = projection.orth_extend(W, ws)
+    empty = np.zeros((sys.n, 0))
+    V, _ = projection.orth_extend(empty, np.column_stack(
+        [v for s in points
+         for v in (transfer.solve_x1(sys, s, solver), transfer.solve_x2(sys, s, s, solver))]))
+    W, _ = projection.orth_extend(empty, np.column_stack(
+        [w for s in points
+         for w in (transfer.solve_y1(sys, 2 * s, solver), transfer.solve_y2(sys, s, s, solver))]))
     if not two_sided:
         return projection.reduce(sys, V, V)
     return projection.reduce(sys, *projection.square_bases(V, W))

@@ -224,7 +224,7 @@ class PencilSolver:
     factors of a build's few hundred frequencies would set its memory peak.
     It factors the solver's one ``qb_model.FactorPattern`` of E and A, by
     the rule stated at ``qb_model.SPARSE_FACTOR_N``.  E, A and N are also
-    held as CSR, for products with them.
+    held as CSR, for products with them, and Q's mode-2 matricization as q2.
 
     From the cut on, a pencil whose band is at most ``BAND_MAX`` wide has
     its sigma_min (:meth:`_certified_sigma_min`) and the field-of-values
@@ -239,10 +239,9 @@ class PencilSolver:
     gbcon below n = SPARSE_FACTOR_N, the Hager-Higham estimate from it on),
     or sigma_min / sigma_max is below n times it (on the band certificate's
     path: the certified sigma_min is below n eps sqrt(||G||_1 ||G||_inf)).
-    Once :meth:`sigma_min_lower` has computed its field-of-values data, a
-    pencil whose field-of-values bound proves rcond_1 >= eps skips the
-    estimate (:meth:`_factor`); on Burgers that is every pencil with
-    Re s >= 0.
+    A pencil whose field-of-values bound, from data computed at
+    construction, proves rcond_1 >= eps skips the estimate
+    (:meth:`_factor`); on Burgers that is every pencil with Re s >= 0.
     Every cached sigma_min is also an anchor of the Weyl bound in
     :meth:`sigma_min_lower`.
 
@@ -253,7 +252,7 @@ class PencilSolver:
     def __init__(self, sys: QBSystem):
         self.sys = sys
         self._cache = {}
-        self._q2 = None
+        self.q2 = sys.mode2()
         self.E, self.A = sp.csr_matrix(sys.E), sp.csr_matrix(sys.A)
         # the bilinear term of B2 and c2: a CSR product is bitwise the same per
         # column of a block, which a dense GEMM and GEMV are not
@@ -263,7 +262,7 @@ class PencilSolver:
         self._order = self._pattern.order if self._sparse and self._pattern.narrow else None
         self._E, self._A = self._pattern.values(self.E), self._pattern.values(self.A)
         self.counts = {"factorizations": 0, "sigma_min_evals": 0}
-        self._fov = None
+        self._fov = self._field_of_values()
 
     def _factor(self, z, cached=False):
         """Factors of zE - A, real for real z; LinAlgError where it is numerically singular.
@@ -273,8 +272,7 @@ class PencilSolver:
         rcond test takes LAPACK's estimate below n = SPARSE_FACTOR_N and the
         Hager-Higham estimate from it on, as gbcon's scaled triangular
         solves cost O(n^2) even on a 1/1 band (Burgers n=3000: 6 ms against
-        a 0.3 ms gbtrf).  Once :meth:`sigma_min_lower` has computed the
-        field-of-values data (never here), the test is skipped where
+        a 0.3 ms gbtrf).  The test is skipped where
         :meth:`_fov_bound` >= n eps (|z| ||E|| + ||A||) >= n eps sigma_max:
         then kappa_1 <= n kappa_2 <= 1 / eps, and as neither estimate
         exceeds ||G^{-1}||_1, both would pass the pencil.
@@ -291,7 +289,7 @@ class PencilSolver:
             raise np.linalg.LinAlgError(
                 f"pencil sE - A singular at s = {complex(z)} ({exc})") from exc
         self.counts["factorizations"] += 1
-        if self._fov is not None and self._fov_bound(z) >= self._margin_unit(z):
+        if self._fov_bound(z) >= self._margin_unit(z):
             return lu
         rcond = (lu.rcond(norm) if self.sys.n < qb_model.SPARSE_FACTOR_N
                  else 1.0 / (norm * _inv_norm1_estimate(lu, data.dtype)))
@@ -442,7 +440,7 @@ class PencilSolver:
         return None if entry is None else entry.sigma_min
 
     def _field_of_values(self):
-        """Spectral data of the lower bounds, computed once per solver.
+        """Spectral data of the lower bounds, computed once per solver at construction.
 
         lambda_min and lambda_max of E_s, a bound on ||E_k||, lambda_max of
         A_s, and the bounds sqrt(||.||_1 ||.||_inf) on ||E|| and ||A||.  The
@@ -450,18 +448,16 @@ class PencilSolver:
         :meth:`sigma_min`, where band Cholesky tests on E_s - mu I, nu I - E_s
         and nu I - A_s bound them outward (:func:`_lambda_min_lower`).
         """
-        if self._fov is None and self._order is None:
+        if self._order is None:
             E, A = self.sys.E, self.sys.A
             lam_E = sla.eigvalsh(0.5 * (E + E.T))
-            self._fov = (lam_E[0], lam_E[-1], _norm2_bound(0.5 * (E - E.T)),
-                         sla.eigvalsh(0.5 * (A + A.T))[-1], _norm2_bound(E), _norm2_bound(A))
-        elif self._fov is None:
-            E, A, order = self.E, self.A, self._order
-            E_s, A_s = 0.5 * (E + E.T), 0.5 * (A + A.T)
-            self._fov = (_lambda_min_lower(E_s, order), -_lambda_min_lower(-E_s, order),
-                         _norm2_bound(0.5 * (E - E.T)), -_lambda_min_lower(-A_s, order),
-                         _norm2_bound(E), _norm2_bound(A))
-        return self._fov
+            return (lam_E[0], lam_E[-1], _norm2_bound(0.5 * (E - E.T)),
+                    sla.eigvalsh(0.5 * (A + A.T))[-1], _norm2_bound(E), _norm2_bound(A))
+        E, A, order = self.E, self.A, self._order
+        E_s, A_s = 0.5 * (E + E.T), 0.5 * (A + A.T)
+        return (_lambda_min_lower(E_s, order), -_lambda_min_lower(-E_s, order),
+                _norm2_bound(0.5 * (E - E.T)), -_lambda_min_lower(-A_s, order),
+                _norm2_bound(E), _norm2_bound(A))
 
     def _margin_unit(self, w):
         """n eps (|w| ||E|| + ||A||) >= n eps sigma_max(wE - A), 1/64 of the bounds' margin."""
@@ -471,8 +467,7 @@ class PencilSolver:
     def _fov_bound(self, z):
         """The field-of-values bound of :meth:`sigma_min_lower` at z, less its margin.
 
-        z is a scalar or an array.  It reads the data of
-        :meth:`_field_of_values` and does not compute them.
+        z is a scalar or an array; the data are those of :meth:`_field_of_values`.
         """
         lam_E_min, lam_E_max, norm_Ek, lam_A_max, _, _ = self._fov
         x = z.real
@@ -501,11 +496,10 @@ class PencilSolver:
         On the band path of :meth:`sigma_min` the anchors and the
         field-of-values data are certified bounds themselves, so there the
         margin only adds slack.  The field-of-values bound is
-        :meth:`_fov_bound`, which :meth:`_factor` shares once the data are
-        computed here.
+        :meth:`_fov_bound`, which :meth:`_factor` shares.
         """
         z = np.atleast_1d(np.asarray(s, dtype=complex))
-        eta_E = self._field_of_values()[4]
+        eta_E = self._fov[4]
 
         def margin(w):
             return _LOWER_MARGIN * self._margin_unit(w)
@@ -521,12 +515,6 @@ class PencilSolver:
             if exact is not None:
                 lb[i] = exact
         return lb if np.ndim(s) else float(lb[0])
-
-    @property
-    def q2(self):
-        if self._q2 is None:
-            self._q2 = self.sys.mode2()
-        return self._q2
 
 
 def _solver(sys, solver):

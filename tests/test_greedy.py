@@ -289,32 +289,25 @@ def test_sparse_and_dense_greedy_select_the_same_pairs(monkeypatch):
 
 
 def _burgers_build_events(monkeypatch, skip):
-    """The validated reference-pair greedy on Burgers n=200, and its estimates and scans in order.
+    """The validated reference-pair greedy on Burgers n=200, and its condition estimates.
 
-    Without skip, PencilSolver._factor sees no field-of-values data, as
-    before the first scan, and so runs the condition estimate every time.
+    Without skip, PencilSolver._factor sees a field-of-values bound of
+    -inf, which clears no pencil, and so runs the estimate every time; the
+    scans' bounds are untouched.
     """
     events = []
-    estimate, lower, factor = (transfer._inv_norm1_estimate, transfer.PencilSolver.sigma_min_lower,
-                               transfer.PencilSolver._factor)
+    estimate, factor = transfer._inv_norm1_estimate, transfer.PencilSolver._factor
 
     def recording_estimate(lu, dtype):
         events.append("estimate")
         return estimate(lu, dtype)
 
-    def recording_lower(self, s):
-        events.append("scan")
-        return lower(self, s)
-
     def unskipped_factor(self, z, cached=False):
-        fov, self._fov = self._fov, None
-        try:
+        with pytest.MonkeyPatch.context() as unskipped:
+            unskipped.setattr(self, "_fov_bound", lambda z: -np.inf)
             return factor(self, z, cached)
-        finally:
-            self._fov = fov
 
     monkeypatch.setattr(transfer, "_inv_norm1_estimate", recording_estimate)
-    monkeypatch.setattr(transfer.PencilSolver, "sigma_min_lower", recording_lower)
     if not skip:
         monkeypatch.setattr(transfer.PencilSolver, "_factor", unskipped_factor)
     cfg = GreedyConfig(sigma10=5.4124, sigma20=5.4124, S1=default_grid(), S2=default_grid(),
@@ -329,7 +322,7 @@ def test_rcond_skip_changes_no_result(monkeypatch):
 
     The pairs, the bases, the bits of every delta and the validation
     records are those of the build that estimates at every factorization;
-    with the skip, the Hager-Higham estimate runs only before the first scan.
+    with the skip, the Hager-Higham estimate never runs.
     """
     res, events = _burgers_build_events(monkeypatch, skip=True)
     ref, ref_events = _burgers_build_events(monkeypatch, skip=False)
@@ -338,8 +331,7 @@ def test_rcond_skip_changes_no_result(monkeypatch):
     assert ([(r.delta1_max, r.delta2_max, r.delta) for r in res.trace]
             == [(r.delta1_max, r.delta2_max, r.delta) for r in ref.trace])
     assert res.validation and res.validation == ref.validation
-    first_scan = events.index("scan")
-    assert "estimate" in events[:first_scan] and "estimate" not in events[first_scan:]
+    assert "estimate" not in events
     assert ref_events.count("estimate") > events.count("estimate")
 
 

@@ -126,8 +126,8 @@ class TestPencilSolver:
 
     def test_singular_pencil_raises(self):
         # the lifted RC ladder has a rank-deficient A: sE - A is singular at
-        # s = 0, yet LU finds no exactly zero pivot there; with or without the
-        # field-of-values data, which cannot clear it
+        # s = 0, yet LU finds no exactly zero pivot there; on a fresh solver and
+        # after a scan, whose field-of-values data cannot clear it
         sys = benchmarks.rc_ladder(5)
         for solver in _solvers(sys, 0.0):
             with pytest.raises(np.linalg.LinAlgError, match="singular"):
@@ -335,33 +335,28 @@ def _estimates(monkeypatch):
     return calls
 
 
-def _factors(solver, z, cached=False, fov=True):
-    """True if solver._factor accepts zE - A; without fov, as before the first scan."""
-    saved = solver._fov
-    if not fov:
-        solver._fov = None
+def _factors(solver, z, cached=False):
+    """True if solver._factor accepts zE - A."""
     try:
         solver._factor(z, cached)
         return True
     except np.linalg.LinAlgError as exc:
         assert "singular" in str(exc)
         return False
-    finally:
-        solver._fov = saved
 
 
-def _with_field_of_values(solver):
-    """The solver after a scan's sigma_min_lower, which computes its field-of-values data."""
-    solver.sigma_min_lower(1.0)
-    assert solver._fov is not None
-    return solver
+def _clears(solver, z):
+    """True if the field-of-values bound at z proves rcond_1 >= eps, so _factor skips the estimate."""
+    return solver._fov_bound(z) >= solver._margin_unit(z)
 
 
 def _solvers(sys, singular):
-    """A fresh solver, and one whose field-of-values data do not clear the singular point."""
-    solver = _with_field_of_values(transfer.PencilSolver(sys))
-    assert not solver._fov_bound(singular) >= solver._margin_unit(singular)
-    return transfer.PencilSolver(sys), solver
+    """A fresh solver and one after a scan; the field-of-values data of neither clear `singular`."""
+    scanned = transfer.PencilSolver(sys)
+    scanned.sigma_min_lower(1.0)
+    solvers = transfer.PencilSolver(sys), scanned
+    assert not any(_clears(solver, singular) for solver in solvers)
+    return solvers
 
 
 @pytest.mark.parametrize("name", sorted(_GRID_SYSTEMS) + ["descriptor", "burgers n=200"])
@@ -370,16 +365,16 @@ def test_field_of_values_skip_is_sound(name, monkeypatch):
 
     At the greedy's grid, on the imaginary axis, at pair sums, at 0 and on
     negative reals; in complex and, for real z, real arithmetic; below the
-    sparse cut for the cached and the one-shot factors.  Without the data
-    (before a scan) the estimate always runs.
+    sparse cut for the cached and the one-shot factors.  The solver is
+    fresh: it skips wherever the bound clears the pencil, before any scan.
+    The oracle patches the bound to -inf, which clears no pencil, so the
+    estimate runs.
     """
     sys = {"descriptor": descriptor_qb, "burgers n=200": _BAND_SYSTEMS["burgers n=200"],
            **_GRID_SYSTEMS}[name]()
     points = np.concatenate([_grid_points(), [0.0, -1.0, -50.0], -0.5 * default_grid()[::7]])
     solver = transfer.PencilSolver(sys)
     estimates = _estimates(monkeypatch)
-    assert _factors(solver, 5.4124) and estimates
-    _with_field_of_values(solver)
     cleared = 0
     for s in map(complex, points):
         cases = ([(s, False)] + [(s.real, False)] * (s.imag == 0)
@@ -387,10 +382,42 @@ def test_field_of_values_skip_is_sound(name, monkeypatch):
         for z, cached in cases:
             estimates.clear()
             accepted = _factors(solver, z, cached)
+            assert (accepted and not estimates) == _clears(solver, z), (name, z, cached)
             if accepted and not estimates:
                 cleared += 1
-                assert _factors(solver, z, cached, fov=False) and estimates, (name, z, cached)
+                with monkeypatch.context() as unskipped:
+                    unskipped.setattr(transfer.PencilSolver, "_fov_bound", lambda self, z: -np.inf)
+                    assert _factors(solver, z, cached) and estimates, (name, z, cached)
     assert cleared > 0
+    assert solver.counts["sigma_min_evals"] == 0
+
+
+def test_fresh_solver_holds_its_per_system_data(monkeypatch):
+    """The field-of-values data and Q2 are computed with the solver, so no scan has to come first.
+
+    A fresh Burgers n=200 solver solves at 5 with no condition estimate;
+    an exactly singular pencil on a fresh solver still raises, on the
+    dense, band and SuperLU paths; q2 is the system's mode-2 matricization.
+    """
+    sys = benchmarks.burgers(200, 0.01)
+    solver = transfer.PencilSolver(sys)
+    estimates = _estimates(monkeypatch)
+    solver.solve(5.0, sys.B)
+    solver.solve_once(5.0, sys.B)
+    assert not estimates and solver.counts == {"factorizations": 2, "sigma_min_evals": 0}
+    q2 = sys.mode2()
+    assert all(np.array_equal(getattr(solver.q2, a), getattr(q2, a))
+               for a in ("data", "indices", "indptr", "shape"))
+    paths = set()
+    for n, wide in ((SPARSE_FACTOR_N - 1, True), (SPARSE_FACTOR_N, False), (SPARSE_FACTOR_N, True)):
+        singular = _singular_pencil_system(n, wide)
+        solver = transfer.PencilSolver(singular)
+        paths.add(solver._pattern.kind)
+        for solve in (lambda: solver.solve(2.0, singular.B),
+                      lambda: solver.solve_once(2.0, singular.B)):
+            with pytest.raises(np.linalg.LinAlgError, match="singular"):
+                solve()
+    assert paths == {"dense", "band", "sparse"}
 
 
 def _count_factorizations(monkeypatch):
